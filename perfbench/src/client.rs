@@ -216,6 +216,10 @@ impl Server {
         let drained = Conn::open(self.addr).and_then(|mut c| {
             c.call(b"POST /shutdown HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
         });
+        if !matches!(&drained, Ok(r) if r.status == 200) {
+            // No drain under way: kill it, so the read below sees EOF.
+            let _ = self.child.kill();
+        }
         let mut rest = String::new();
         let _ = self.stdout.read_to_string(&mut rest);
         match (drained, self.child.wait()) {

@@ -8,9 +8,9 @@
 //! With `--trace 0` one workload runs for `S` seconds and the last line
 //! of stdout is one JSON object carrying `ops_per_s`, `latency_p50_us`,
 //! `latency_p90_us`, `setup_s` and `peak_rss_mib`. With `--trace 1` the
-//! run replays every layer and runs a short untraced and a short traced
-//! window of every workload, and the last line carries the per-layer
-//! metrics instead. `--steady` repeats runs as child processes and
+//! run replays every layer and runs an untraced and a traced window of
+//! every workload, and the last line carries the per-layer metrics
+//! instead. `--steady` repeats runs as child processes and
 //! prints each end-to-end metric's median, quartiles and range. See
 //! README.md in this directory.
 
@@ -36,7 +36,7 @@ use trace::Tracer;
 const WORKLOADS: [&str; 3] = ["regen", "serve-warm", "query-mix"];
 
 /// Set-up blocks per run; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 15;
 
 /// What every workload needs besides its window length.
 pub struct Cfg {
@@ -110,12 +110,19 @@ fn run_workload(
 /// of every workload, whose p50 difference is the tracing overhead.
 fn traced(cfg: &Cfg, seconds: f64) -> Result<(u64, u64, Vec<Metric>), String> {
     let mut metrics = layers::replay(cfg.seed)?;
-    let window = Duration::from_secs_f64((seconds / 4.0).max(1.0));
+    let short = Duration::from_secs_f64((seconds / 4.0).max(1.0));
     let (mut attempted, mut failed) = (0, 0);
     for name in WORKLOADS {
-        let mut plain = run_workload(name, cfg, window, 1, &mut Tracer::new(false))?;
+        // query-mix's cache counts need a full window: its wire cache
+        // starts evicting only after tens of thousands of requests.
+        let counted = if name == "query-mix" {
+            Duration::from_secs_f64(seconds)
+        } else {
+            short
+        };
+        let mut plain = run_workload(name, cfg, short, 1, &mut Tracer::new(false))?;
         let mut tracer = Tracer::new(true);
-        let mut traced = run_workload(name, cfg, window, 1, &mut tracer)?;
+        let mut traced = run_workload(name, cfg, counted, 1, &mut tracer)?;
         for line in tracer.summary() {
             eprintln!("{name}: {line}");
         }
