@@ -46,8 +46,30 @@ impl Rng {
 /// LRU holds.
 pub const POOL_POINTS: usize = 8000;
 
-/// Zipf exponent of the point-spec popularity skew.
+// The mix below is chosen to exercise particular server paths, not taken
+// from measured traffic: no query log of `accelwall serve` exists to
+// derive it from. Each share is large enough to give its path's per-layer
+// figures thousands of samples per window, and canonical GETs, the
+// wire-cacheable path, stay the majority.
+
+/// Zipf exponent of the point-spec popularity skew. At 0.9 over
+/// [`POOL_POINTS`] specs the hottest tenth draws over half the point
+/// traffic and stays in the wire cache, while the tail overflows it, so
+/// one window sees wire-cache hits, inserts and evictions.
 const ZIPF_S: f64 = 0.9;
+
+/// Percent of requests sent as canonical `GET /query?...`: wire-cache
+/// hits, and inserts on a spec's first visit or after its eviction.
+const CANONICAL_PCT: usize = 70;
+
+/// Percent sent as `GET` with the fields permuted: wire-cache misses that
+/// the engine canonicalizes onto an LRU entry.
+const REORDERED_PCT: usize = 15;
+
+/// Percent sent as `POST /query` JSON: never wire-cached, so always
+/// through the pool and JSON parsing. The rest (5%) are sweep, projection
+/// and csr specs, so every query kind runs.
+const POST_PCT: usize = 10;
 
 /// One what-if spec as `(field, value)` pairs in canonical field order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,22 +210,25 @@ impl Pool {
         self.cdf.partition_point(|&c| c < u).min(POOL_POINTS - 1)
     }
 
-    /// The first `n` requests of the seeded mix: 70% canonical `GET`s,
-    /// 15% reordered `GET`s and 10% `POST`s of Zipf-drawn point specs,
-    /// and 5% canonical `GET`s of the other kinds.
+    /// The first `n` requests of the seeded mix: canonical `GET`s,
+    /// reordered `GET`s and `POST`s of Zipf-drawn point specs in the
+    /// shares above, and canonical `GET`s of the other kinds.
     pub fn requests(&self, seed: u64, n: usize) -> Vec<MixRequest> {
         let mut rng = Rng::new(seed.wrapping_mul(31).wrapping_add(7));
         (0..n)
             .map(|_| {
                 let roll = rng.below(100);
-                let (spec, variant) = match roll {
-                    0..=69 => (self.zipf_point(&mut rng), Variant::Canonical),
-                    70..=84 => (self.zipf_point(&mut rng), Variant::Reordered),
-                    85..=94 => (self.zipf_point(&mut rng), Variant::Post),
-                    _ => (
+                let (spec, variant) = if roll < CANONICAL_PCT {
+                    (self.zipf_point(&mut rng), Variant::Canonical)
+                } else if roll < CANONICAL_PCT + REORDERED_PCT {
+                    (self.zipf_point(&mut rng), Variant::Reordered)
+                } else if roll < CANONICAL_PCT + REORDERED_PCT + POST_PCT {
+                    (self.zipf_point(&mut rng), Variant::Post)
+                } else {
+                    (
                         POOL_POINTS + rng.below(self.specs.len() - POOL_POINTS),
                         Variant::Canonical,
-                    ),
+                    )
                 };
                 let bytes = self.request_bytes(spec, variant, &mut rng);
                 MixRequest {
@@ -289,10 +314,12 @@ mod tests {
         assert_eq!(distinct.len(), pool.specs.len());
         let reqs = pool.requests(3, 20_000);
         let share = |v: Variant| reqs.iter().filter(|r| r.variant == v).count() as f64 / 2e4;
-        assert!((share(Variant::Reordered) - 0.15).abs() < 0.02);
-        assert!((share(Variant::Post) - 0.10).abs() < 0.02);
+        let pct = |p: usize| p as f64 / 100.0;
+        assert!((share(Variant::Reordered) - pct(REORDERED_PCT)).abs() < 0.02);
+        assert!((share(Variant::Post) - pct(POST_PCT)).abs() < 0.02);
         let others = reqs.iter().filter(|r| r.spec >= POOL_POINTS).count() as f64 / 2e4;
-        assert!((others - 0.05).abs() < 0.01);
+        let other_pct = 100 - CANONICAL_PCT - REORDERED_PCT - POST_PCT;
+        assert!((others - pct(other_pct)).abs() < 0.01);
         // The skew: the hottest tenth of the points draws most traffic.
         let points: Vec<_> = reqs.iter().filter(|r| r.spec < POOL_POINTS).collect();
         let hot = points.iter().filter(|r| r.spec < POOL_POINTS / 10).count();

@@ -35,8 +35,8 @@ use trace::Tracer;
 /// The workloads, in the order the traced run visits them.
 const WORKLOADS: [&str; 3] = ["regen", "serve-warm", "query-mix"];
 
-/// Set-up blocks per run; `setup_s` is their median.
-const SETUP_REPS: usize = 15;
+/// Set-up blocks per run; `setup_s` is the fastest (see `stats::setup_s`).
+const SETUP_REPS: usize = 21;
 
 /// What every workload needs besides its window length.
 pub struct Cfg {
@@ -107,22 +107,24 @@ fn run_workload(
 }
 
 /// The per-layer run: the replay, then an untraced and a traced window
-/// of every workload, whose p50 difference is the tracing overhead.
+/// of the same length for every workload, whose p50 difference is the
+/// tracing overhead.
 fn traced(cfg: &Cfg, seconds: f64) -> Result<(u64, u64, Vec<Metric>), String> {
     let mut metrics = layers::replay(cfg.seed)?;
-    let short = Duration::from_secs_f64((seconds / 4.0).max(1.0));
     let (mut attempted, mut failed) = (0, 0);
     for name in WORKLOADS {
         // query-mix's cache counts need a full window: its wire cache
-        // starts evicting only after tens of thousands of requests.
-        let counted = if name == "query-mix" {
-            Duration::from_secs_f64(seconds)
+        // starts evicting only after tens of thousands of requests. The
+        // untraced window matches it, so that both p50s see the same
+        // cache state and only tracing separates them.
+        let window = Duration::from_secs_f64(if name == "query-mix" {
+            seconds
         } else {
-            short
-        };
-        let mut plain = run_workload(name, cfg, short, 1, &mut Tracer::new(false))?;
+            (seconds / 4.0).max(1.0)
+        });
+        let mut plain = run_workload(name, cfg, window, 1, &mut Tracer::new(false))?;
         let mut tracer = Tracer::new(true);
-        let mut traced = run_workload(name, cfg, counted, 1, &mut tracer)?;
+        let mut traced = run_workload(name, cfg, window, 1, &mut tracer)?;
         for line in tracer.summary() {
             eprintln!("{name}: {line}");
         }

@@ -21,7 +21,7 @@ use accelwall_query::{QueryEngine, QuerySpec};
 
 use crate::client::{ratio, read_reply, scrape, Conn, Server};
 use crate::gen::{get, schedule, Pool, Rng, Spec};
-use crate::stats::{median, percentile, Latencies};
+use crate::stats::{percentile, setup_s, Latencies};
 use crate::trace::Tracer;
 use crate::{Cfg, Metric, Window};
 
@@ -80,7 +80,7 @@ pub fn run(
     let due = schedule(cfg.seed, n, RATE);
     let mut setups = Vec::with_capacity(setup_reps);
     let mut server = None;
-    for _ in 0..setup_reps.max(1) {
+    for _ in 0..setup_reps - setup_reps / 2 {
         if let Some(s) = server.take() {
             Server::shutdown(s)?;
         }
@@ -148,6 +148,12 @@ pub fn run(
     let after = scrape(server.addr)?;
     let peak_rss_mib = server.peak_rss_mib()?;
     server.shutdown()?;
+    for _ in 0..setup_reps / 2 {
+        let t = Instant::now();
+        let server = spawn_warmed(cfg)?;
+        setups.push(t.elapsed().as_secs_f64());
+        server.shutdown()?;
+    }
 
     // Served bytes against the in-process engine, on a seeded sample.
     let engine = engine();
@@ -173,7 +179,7 @@ pub fn run(
         attempted: lat.len() as u64 + SAMPLE.min(seen.len()) as u64,
         failed,
         lat,
-        setup_s: median(&setups),
+        setup_s: setup_s(&setups),
         peak_rss_mib,
         layer: vec![
             Metric::new(

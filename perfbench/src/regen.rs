@@ -16,7 +16,7 @@ use accelerator_wall::json::Value;
 use accelerator_wall::registry::Registry;
 
 use crate::client::peak_rss_mib;
-use crate::stats::{median, Latencies};
+use crate::stats::{setup_s, Latencies};
 use crate::trace::Tracer;
 use crate::{Cfg, Metric, Window};
 
@@ -81,10 +81,14 @@ pub fn run(
     let mut failed = u64::from(errored);
     let mut attempted = 1;
     let mut setups = Vec::with_capacity(setup_reps);
-    for _ in 0..setup_reps {
+    let setup_block = |setups: &mut Vec<f64>| -> Result<u64, String> {
         let t = Instant::now();
-        failed += cli_mismatches(cfg, &reference)?;
+        let mismatches = cli_mismatches(cfg, &reference)?;
         setups.push(t.elapsed().as_secs_f64());
+        Ok(mismatches)
+    };
+    for _ in 0..setup_reps - setup_reps / 2 {
+        failed += setup_block(&mut setups)?;
         attempted += 2;
     }
 
@@ -109,23 +113,24 @@ pub fn run(
         lowerings += counters.lowerings;
     }
     let ops = lat.len() as f64;
+    let (jobs, steals) = (
+        accelwall_par::jobs_total() - jobs0,
+        accelwall_par::steals_total() - steals0,
+    );
+    // The rest of the set-up blocks, a window's length after the first.
+    for _ in 0..setup_reps / 2 {
+        failed += setup_block(&mut setups)?;
+        attempted += 2;
+    }
     Ok(Window {
         attempted: attempted + lat.len() as u64,
         failed,
         lat,
-        setup_s: median(&setups),
+        setup_s: setup_s(&setups),
         peak_rss_mib,
         layer: vec![
-            Metric::new(
-                "par.jobs",
-                (accelwall_par::jobs_total() - jobs0) as f64 / ops,
-                "count",
-            ),
-            Metric::new(
-                "par.steals",
-                (accelwall_par::steals_total() - steals0) as f64 / ops,
-                "count",
-            ),
+            Metric::new("par.jobs", jobs as f64 / ops, "count"),
+            Metric::new("par.steals", steals as f64 / ops, "count"),
             Metric::new("ctx.sweep_computes", sweep_computes as f64 / ops, "count"),
             Metric::new("ctx.lowerings", lowerings as f64 / ops, "count"),
         ],

@@ -38,16 +38,22 @@ pub struct Summary {
     pub p90_us: f64,
 }
 
-/// Latencies of one timed window, in nanoseconds, bucketed into equal
-/// time slices by when each operation started (or was due).
+/// Latencies of one timed window, in nanoseconds, cut into equal time
+/// slices: each latency goes to the slice in which its operation started
+/// (or was due), and each completion is counted in the slice in which it
+/// finished.
 ///
 /// Each figure is taken per slice and the median across slices is
 /// reported, so a host stall that spoils one slice does not move it.
+/// Counting completions rather than starts makes the rate of an open
+/// loop the rate the program kept up with, not the offered rate: a
+/// backlog lowers it.
 #[derive(Debug)]
 pub struct Latencies {
     start: Instant,
     slice: Duration,
     slices: Vec<Vec<u64>>,
+    completed: Vec<u64>,
 }
 
 impl Latencies {
@@ -58,31 +64,40 @@ impl Latencies {
             start,
             slice: window / n,
             slices: vec![Vec::new(); n as usize],
+            completed: vec![0; n as usize],
         }
     }
 
-    /// Records one operation that started (or was due) at `started`.
-    pub fn push(&mut self, started: Instant, latency: Duration) {
-        let offset = started.saturating_duration_since(self.start).as_nanos();
+    /// The slice holding instant `at`; later instants go to the last.
+    fn slice_of(&self, at: Instant) -> usize {
+        let offset = at.saturating_duration_since(self.start).as_nanos();
         let i = (offset / self.slice.as_nanos().max(1)) as usize;
-        let last = self.slices.len() - 1;
-        self.slices[i.min(last)].push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
+        i.min(self.slices.len() - 1)
+    }
+
+    /// Records one operation that started (or was due) at `started` and
+    /// finished `latency` later.
+    pub fn push(&mut self, started: Instant, latency: Duration) {
+        let i = self.slice_of(started);
+        self.slices[i].push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
+        let j = self.slice_of(started + latency);
+        self.completed[j] += 1;
     }
 
     pub fn len(&self) -> usize {
         self.slices.iter().map(Vec::len).sum()
     }
 
-    /// Medians across slices of each slice's rate, p50 and p90.
+    /// Medians across slices of each slice's completion rate, p50 and p90.
     ///
     /// # Errors
     ///
     /// When a slice was too short for a steady p90 (see [`percentile`]).
     pub fn summary(&mut self) -> Result<Summary, String> {
         let (mut rate, mut p50, mut p90) = (Vec::new(), Vec::new(), Vec::new());
-        for s in &mut self.slices {
+        for (s, &done) in self.slices.iter_mut().zip(&self.completed) {
             s.sort_unstable();
-            rate.push(s.len() as f64 / self.slice.as_secs_f64());
+            rate.push(done as f64 / self.slice.as_secs_f64());
             p50.push(percentile(s, 0.50)? as f64 / 1e3);
             p90.push(percentile(s, 0.90)? as f64 / 1e3);
         }
@@ -93,6 +108,27 @@ impl Latencies {
             p90_us: median(&p90),
         })
     }
+}
+
+/// The reported set-up time of a run's set-up blocks: the fastest, in
+/// seconds.
+///
+/// A block is 10–25 ms of mostly parallel work, and on a shared 2-vCPU
+/// host another tenant's load stretches some blocks of every run. The
+/// fastest block is the one it stretched least, so it moves far less with
+/// that load than the median does, while more work in every block still
+/// raises it. Each workload runs half its blocks before the timed window
+/// and half after it, so that the fastest is sought over the whole run,
+/// not over one busy moment.
+pub fn setup_s(blocks: &[f64]) -> f64 {
+    let med = median(blocks);
+    let (q1, q3) = quartiles(blocks).unwrap_or((med, med));
+    let fastest = blocks.iter().copied().fold(f64::INFINITY, f64::min);
+    eprintln!(
+        "setup blocks {}: min {fastest:.5} q1 {q1:.5} median {med:.5} q3 {q3:.5}",
+        blocks.len()
+    );
+    fastest
 }
 
 /// The median of a non-empty set of values (mean of the middle pair
@@ -171,6 +207,23 @@ mod tests {
     }
 
     #[test]
+    fn rate_counts_completions_not_arrivals() {
+        let start = Instant::now();
+        let mut l = Latencies::new(start, Duration::from_secs(9));
+        // 100 operations are due in each slice, but those due in slices
+        // 0 and 1 sit in a backlog and all finish in slice 2.
+        for slice in 0..3u64 {
+            let at = start + Duration::from_secs(3 * slice + 1);
+            let wait = Duration::from_secs(6 - 3 * slice.min(2));
+            for _ in 0..100 {
+                l.push(at, wait);
+            }
+        }
+        assert_eq!(l.completed, vec![0, 0, 300]);
+        assert_eq!(l.summary().unwrap().ops_per_s, 0.0);
+    }
+
+    #[test]
     fn quartiles_match_python_exclusive_method() {
         // statistics.quantiles([1..10], n=4) == [2.75, 5.5, 8.25]
         let v: Vec<f64> = (1..=10).map(f64::from).collect();
@@ -181,5 +234,6 @@ mod tests {
         assert_eq!(quartiles(&[5.0, 4.0, 3.0, 2.0, 1.0]), Some((1.5, 4.5)));
         assert_eq!(quartiles(&[1.0]), None);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(setup_s(&[0.03, 0.01, 0.02]), 0.01);
     }
 }

@@ -12,7 +12,7 @@ use accelerator_wall::registry::Registry;
 
 use crate::client::{ratio, scrape, Conn, Server};
 use crate::gen::{get, Rng};
-use crate::stats::{median, Latencies};
+use crate::stats::{median, setup_s, Latencies};
 use crate::trace::Tracer;
 use crate::{Cfg, Metric, Window};
 
@@ -95,7 +95,7 @@ pub fn run(
     let targets = targets();
     let mut setups = Vec::with_capacity(setup_reps);
     let mut warmed = None;
-    for _ in 0..setup_reps.max(1) {
+    for _ in 0..setup_reps - setup_reps / 2 {
         if let Some((server, _)) = warmed.take() {
             Server::shutdown(server)?;
         }
@@ -132,13 +132,19 @@ pub fn run(
     let connect = connect_us(&server, &targets[0].request)?;
     server.shutdown()?;
     attempted += lat.len() as u64;
+    for _ in 0..setup_reps / 2 {
+        let t = Instant::now();
+        let (server, _) = warm_server(cfg, &targets)?;
+        setups.push(t.elapsed().as_secs_f64());
+        server.shutdown()?;
+    }
 
     let requests = after.requests_delta(&before);
     Ok(Window {
         attempted,
         failed,
         lat,
-        setup_s: median(&setups),
+        setup_s: setup_s(&setups),
         peak_rss_mib,
         layer: vec![
             Metric::new(
