@@ -73,21 +73,12 @@ impl CorpusSpec {
         .collect()
     }
 
-    /// Number of generation chunks ([`GENERATE_CHUNK`] records each, the
-    /// last possibly partial).
-    pub fn chunk_count(&self) -> usize {
-        (self.cpus + self.gpus).div_ceil(GENERATE_CHUNK)
-    }
-
     /// Generates one chunk of the corpus: the records at positions
     /// `[chunk · GENERATE_CHUNK, (chunk + 1) · GENERATE_CHUNK)` (clamped
     /// to the corpus size), drawn from that chunk's own RNG stream.
-    ///
     /// [`generate`](CorpusSpec::generate) is exactly the concatenation of
-    /// every chunk in index order, so shards computed on different
-    /// machines reassemble into the bit-identical corpus. The distributed
-    /// `corpus` work grid leases these chunks as its units.
-    pub fn generate_chunk(&self, chunk: usize) -> Vec<ChipRecord> {
+    /// every chunk in index order.
+    fn generate_chunk(&self, chunk: usize) -> Vec<ChipRecord> {
         let total = self.cpus + self.gpus;
         let start = (chunk * GENERATE_CHUNK).min(total);
         let end = ((chunk + 1) * GENERATE_CHUNK).min(total);
@@ -227,12 +218,13 @@ mod tests {
     #[test]
     fn generate_is_the_concatenation_of_chunks() {
         let spec = CorpusSpec::small();
-        let chunked: Vec<ChipRecord> = (0..spec.chunk_count())
+        let chunk_count = (spec.cpus + spec.gpus).div_ceil(GENERATE_CHUNK);
+        let chunked: Vec<ChipRecord> = (0..chunk_count)
             .flat_map(|c| spec.generate_chunk(c))
             .collect();
         assert_eq!(chunked, spec.generate());
         // Past-the-end chunks are empty, not a panic.
-        assert!(spec.generate_chunk(spec.chunk_count()).is_empty());
+        assert!(spec.generate_chunk(chunk_count).is_empty());
     }
 
     #[test]

@@ -65,14 +65,6 @@ pub enum Error {
         /// Every id the registry does know, in registry order.
         known: Vec<&'static str>,
     },
-    /// A shardable grid id not present in the grid registry
-    /// ([`GridRegistry`](crate::grids::GridRegistry)).
-    UnknownGrid {
-        /// The grid id that was requested.
-        id: String,
-        /// Every grid the registry does know, in registry order.
-        known: Vec<&'static str>,
-    },
     /// A workload abbreviation not present in Table IV.
     UnknownWorkload {
         /// The name that was requested.
@@ -153,16 +145,6 @@ impl fmt::Display for Error {
                 }
                 Ok(())
             }
-            Error::UnknownGrid { id, known } => {
-                write!(f, "unknown grid {id:?}; known grids: ")?;
-                for (i, k) in known.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(" ")?;
-                    }
-                    f.write_str(k)?;
-                }
-                Ok(())
-            }
             Error::UnknownWorkload { name } => {
                 write!(
                     f,
@@ -203,7 +185,6 @@ impl std::error::Error for Error {
             Error::Report(e) => Some(e),
             Error::Context { source, .. } => Some(source.as_ref()),
             Error::UnknownExperiment { .. }
-            | Error::UnknownGrid { .. }
             | Error::UnknownWorkload { .. }
             | Error::DependencyCycle { .. }
             | Error::ExperimentPanicked { .. }

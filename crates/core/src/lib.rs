@@ -31,7 +31,6 @@
 //! | [`cache`] | [`cache::Ctx`] — memoizes corpus, fits, and sweeps once per process |
 //! | [`artifacts`] | [`artifacts::ArtifactCache`] — memoizes experiment outputs for long-lived processes |
 //! | [`registry`] | all paper targets, dependency-ordered parallel execution |
-//! | [`grids`] | shardable work grids for the distributed work tier |
 //! | [`experiments`] | the per-layer experiment implementations |
 //! | [`json`] | a small dependency-free JSON value + parser for `--json` output |
 //! | [`report`] | per-domain verdict synthesis (the `report` target) |
@@ -68,7 +67,6 @@ pub mod cache;
 pub mod error;
 pub mod experiment;
 pub mod experiments;
-pub mod grids;
 pub mod json;
 pub mod registry;
 pub mod report;
@@ -90,7 +88,6 @@ pub mod prelude {
     pub use crate::cache::Ctx;
     pub use crate::error::{Error, ResultExt};
     pub use crate::experiment::{Artifact, Experiment};
-    pub use crate::grids::{run_local, Grid, GridRegistry};
     pub use crate::registry::Registry;
     pub use crate::report::{DomainReport, Maturity};
     pub use accelwall_accelsim::attribution::Metric;

@@ -548,14 +548,14 @@ mod tests {
 
     #[test]
     fn fractional_second_hang_durations_parse() {
-        let plan = FaultPlan::parse("work-heartbeat:hang:0.5s").unwrap();
+        let plan = FaultPlan::parse("serve-request:hang:0.5s").unwrap();
         assert_eq!(
             plan.rules[0].kind,
             FaultKind::Hang {
                 duration: Duration::from_millis(500)
             }
         );
-        assert_eq!(plan.summary(), "work-heartbeat:hang:500ms");
+        assert_eq!(plan.summary(), "serve-request:hang:500ms");
         let plan = FaultPlan::parse("a:hang:2.5s,b:hang:1.5ms").unwrap();
         assert_eq!(
             plan.rules[0].kind,

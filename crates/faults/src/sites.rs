@@ -49,26 +49,6 @@ pub const QUERY_CACHE_ADMIT: &str = "query-cache-admit";
 /// Nothing is inserted on failure, so the LRU is never poisoned.
 pub const QUERY_COMPUTE: &str = "query-compute";
 
-/// The work coordinator probes this at the top of every lease grant:
-/// an `err` here answers the lease request with a 500, which the worker
-/// must absorb with backoff-and-retry instead of dying.
-pub const WORK_LEASE: &str = "work-lease";
-
-/// A worker probes this before computing each leased unit: an `err` or
-/// `panic` here simulates a unit dying mid-compute — the worker reports
-/// the failure and the coordinator must re-issue the unit.
-pub const WORK_COMPUTE: &str = "work-compute";
-
-/// The work coordinator probes this when a completion arrives: an `err`
-/// here drops the completion on the floor (500 on the wire), which the
-/// worker's idempotent re-send must survive.
-pub const WORK_COMPLETE: &str = "work-complete";
-
-/// A worker probes this before each heartbeat send: a `hang` here
-/// silences the worker past its lease deadline, so the coordinator must
-/// expire the lease and re-issue its units to someone else.
-pub const WORK_HEARTBEAT: &str = "work-heartbeat";
-
 /// Every static site, in probe order. Dynamic (per-experiment) sites are
 /// documented above and validated against the registry at arm time.
 pub const ROSTER: &[Site] = &[
@@ -91,26 +71,6 @@ pub const ROSTER: &[Site] = &[
         name: QUERY_COMPUTE,
         location: "crates/query/src/engine.rs::QueryEngine::answer",
         effect: "a transient failure while computing a query miss",
-    },
-    Site {
-        name: WORK_LEASE,
-        location: "crates/work/src/coordinator.rs::Coordinator::lease",
-        effect: "the coordinator failing to grant a lease (worker must retry)",
-    },
-    Site {
-        name: WORK_COMPUTE,
-        location: "crates/work/src/worker.rs::compute_unit",
-        effect: "a worker dying or erroring mid-unit (coordinator re-issues)",
-    },
-    Site {
-        name: WORK_COMPLETE,
-        location: "crates/work/src/coordinator.rs::Coordinator::complete",
-        effect: "a completion lost on the wire (idempotent re-send recovers)",
-    },
-    Site {
-        name: WORK_HEARTBEAT,
-        location: "crates/work/src/worker.rs::WorkerRunner::heartbeat",
-        effect: "a silenced worker missing its lease deadline (lease expiry)",
     },
 ];
 

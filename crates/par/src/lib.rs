@@ -392,12 +392,7 @@ where
 /// remains. The merge order is a pure function of the input length, so
 /// the result is deterministic even when `reduce` is not associative
 /// (float sums). Returns `None` for an empty input.
-///
-/// This is the fold [`par_map_reduce`] applies to its chunk results,
-/// exposed so callers that gather parts through other means — the
-/// distributed work tier folds worker-computed units by index — merge
-/// byte-identically to the single-process path.
-pub fn tree_fold<T>(mut parts: Vec<T>, reduce: impl Fn(T, T) -> T) -> Option<T> {
+fn tree_fold<T>(mut parts: Vec<T>, reduce: impl Fn(T, T) -> T) -> Option<T> {
     while parts.len() > 1 {
         let mut next = Vec::with_capacity(parts.len().div_ceil(2));
         let mut items = parts.into_iter();
@@ -537,7 +532,7 @@ mod tests {
     #[test]
     fn tree_fold_merge_order_is_a_pure_function_of_length() {
         // A non-associative reduce (string bracketing) pins the pairwise
-        // merge tree: the distributed fold relies on this exact shape.
+        // merge tree: `par_map_reduce`'s float sums rely on this shape.
         let parts: Vec<String> = (0..5).map(|i| i.to_string()).collect();
         let folded = tree_fold(parts, |a, b| format!("({a}+{b})"));
         assert_eq!(folded.as_deref(), Some("(((0+1)+(2+3))+4)"));
@@ -577,15 +572,28 @@ mod tests {
         assert!(steals_total() >= steals_before);
     }
 
+    /// Serializes the tests that share the global carrier cache: one
+    /// test's panicking task must never claim another test's parked
+    /// carrier.
+    static SPAWN_TESTS: Mutex<()> = Mutex::new(());
+
+    /// Waits (at most 5 s) until a carrier has parked itself for reuse.
+    fn wait_for_a_parked_carrier() {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while lock(&IDLE_SPAWNERS).is_empty() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn spawn_detached_runs_the_task_and_reuses_carriers() {
+        let _serial = lock(&SPAWN_TESTS);
         let (tx, rx) = channel();
         spawn_detached("accelwall-test-spawn", move || {
             tx.send(std::thread::current().id()).unwrap();
         });
         let first = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        // Give the carrier a beat to park itself, then reuse it.
-        std::thread::sleep(Duration::from_millis(50));
+        wait_for_a_parked_carrier();
         let (tx, rx) = channel();
         spawn_detached("accelwall-test-spawn-2", move || {
             tx.send(std::thread::current().id()).unwrap();
@@ -596,11 +604,15 @@ mod tests {
 
     #[test]
     fn spawn_detached_survives_a_panicking_task() {
+        let _serial = lock(&SPAWN_TESTS);
         static RAN: AtomicBool = AtomicBool::new(false);
-        spawn_detached("accelwall-test-panicker", || {
+        let (started, panicking) = channel();
+        spawn_detached("accelwall-test-panicker", move || {
+            started.send(()).unwrap();
             panic!("contained: detached task panic")
         });
-        std::thread::sleep(Duration::from_millis(50));
+        // Once the panicking task runs, its carrier can never park again.
+        panicking.recv_timeout(Duration::from_secs(5)).unwrap();
         let (tx, rx) = channel();
         spawn_detached("accelwall-test-after-panic", move || {
             RAN.store(true, Ordering::Relaxed);

@@ -16,7 +16,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Hashes bytes with FNV-1a (64-bit).
+/// Hashes bytes with FNV-1a (64-bit). `#[inline]` so the server's
+/// response-cache lookup can inline it across the crate boundary.
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &b in bytes {

@@ -47,14 +47,6 @@
 //! | `GET /healthz` | `{"status": "ready"\|"degraded", "failed": [...]}` — degraded lists targets in `Failed` state |
 //! | `GET /metrics` | Prometheus-style counters (requests, latency, cache, query engine, `Ctx`, containment) |
 //! | `POST /shutdown` | begins the graceful drain |
-//! | `POST /work/lease` | lease a batch of grid units (coordinator mode only; see DESIGN.md, "Distributed execution") |
-//! | `POST /work/complete` | return one unit's result (or failure) to the coordinator |
-//! | `POST /work/heartbeat` | extend the caller's leases; replies with units to abandon |
-//!
-//! The `/work/*` routes exist only when the server was bound with
-//! [`Server::bind_with_work`] and a [`Coordinator`] attached (the
-//! `accelwall work` coordinator mode); otherwise they answer `404` and
-//! `/healthz` + `/metrics` are byte-identical to a plain server.
 //!
 //! Unknown `{id}`s answer `404` with the same roster-carrying message as
 //! the CLI — both derive from [`Registry`](accelerator_wall::registry::Registry),
@@ -108,8 +100,6 @@ use accelerator_wall::error::Error;
 use accelerator_wall::json::Value;
 use accelwall_query::spec::{pairs_from_json, pairs_from_query};
 use accelwall_query::{QueryEngine, QueryError, QuerySpec};
-use accelwall_work::protocol::parse_lease_request;
-use accelwall_work::{CompleteRequest, Coordinator, HeartbeatRequest};
 
 use http::{Request, Response};
 use metrics::{Metrics, Route};
@@ -172,7 +162,6 @@ pub struct Server {
     engine: Arc<QueryEngine>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
-    work: Option<Arc<Coordinator>>,
 }
 
 /// A cheap handle for observing and stopping a running [`Server`].
@@ -215,24 +204,6 @@ impl Server {
     ///
     /// Propagates bind failures (bad address, port in use).
     pub fn bind(config: ServerConfig, cache: ArtifactCache) -> std::io::Result<Server> {
-        Server::bind_with_work(config, cache, None)
-    }
-
-    /// Like [`Server::bind`], with an optional distributed-work
-    /// [`Coordinator`] attached. When `Some`, the `/work/*` routes serve
-    /// leases, completions, and heartbeats against it, `/metrics` grows
-    /// the `accelwall_work_*` series, and `/healthz` reports worker and
-    /// unit health; when `None` the server is byte-identical to
-    /// [`Server::bind`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures (bad address, port in use).
-    pub fn bind_with_work(
-        config: ServerConfig,
-        cache: ArtifactCache,
-        work: Option<Arc<Coordinator>>,
-    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let cache = Arc::new(cache);
@@ -251,7 +222,6 @@ impl Server {
             engine,
             metrics: Arc::new(Metrics::new()),
             shutdown: Arc::new(AtomicBool::new(false)),
-            work,
         })
     }
 
@@ -292,7 +262,6 @@ impl Server {
             let metrics = Arc::clone(&self.metrics);
             let respcache = Arc::clone(&respcache);
             let handle = handle.clone();
-            let work = self.work.clone();
             let compute_deadline = self.config.compute_deadline;
             // The metrics' panic counter is shared with the pool, so a
             // worker that dies panicking (and respawns) is visible as
@@ -307,7 +276,6 @@ impl Server {
                         engine: &engine,
                         metrics: &metrics,
                         handle: &handle,
-                        work: work.as_ref(),
                         respcache: &respcache,
                     };
                     compute_response(job, &serve, &completions_tx, compute_deadline);
@@ -335,15 +303,14 @@ impl Server {
 }
 
 /// The shared serving state every compute handler borrows: the artifact
-/// cache, query engine, counters, drain handle, the pre-serialized
-/// response cache, and (in coordinator mode) the work tier.
+/// cache, query engine, counters, drain handle, and the pre-serialized
+/// response cache.
 #[derive(Clone, Copy)]
 struct ServeState<'a> {
     cache: &'a ArtifactCache,
     engine: &'a QueryEngine,
     metrics: &'a Metrics,
     handle: &'a ServerHandle,
-    work: Option<&'a Arc<Coordinator>>,
     respcache: &'a ResponseCache,
 }
 
@@ -437,7 +404,6 @@ fn route_request(
         engine,
         metrics,
         handle,
-        work,
         respcache,
     } = *serve;
     let get_only = |route: Route, response: Response| {
@@ -448,14 +414,8 @@ fn route_request(
         }
     };
     match request.path.as_str() {
-        "/healthz" => get_only(
-            Route::Healthz,
-            Response::json(200, healthz_body(cache, work)),
-        ),
-        "/experiments" => get_only(
-            Route::Experiments,
-            Response::json(200, roster_body(cache)),
-        ),
+        "/healthz" => get_only(Route::Healthz, Response::json(200, healthz_body(cache))),
+        "/experiments" => get_only(Route::Experiments, Response::json(200, roster_body(cache))),
         "/query" => (Route::Query, query_response(request, engine)),
         "/query/schema" => get_only(
             Route::QuerySchema,
@@ -474,7 +434,6 @@ fn route_request(
                     cache.ctx().counters(),
                     &engine.stats(),
                     &respcache.stats(),
-                    work.map(|c| c.stats()).as_ref(),
                 ),
             ),
         ),
@@ -486,9 +445,6 @@ fn route_request(
                 (Route::Shutdown, Response::method_not_allowed("POST"))
             }
         }
-        "/work/lease" => work_route(request, work, Route::WorkLease),
-        "/work/complete" => work_route(request, work, Route::WorkComplete),
-        "/work/heartbeat" => work_route(request, work, Route::WorkHeartbeat),
         path => match path.strip_prefix("/experiments/") {
             Some(id) => {
                 if request.method != "GET" {
@@ -499,13 +455,7 @@ fn route_request(
                     experiment_response(id, request, cache, compute_deadline),
                 )
             }
-            None => (
-                Route::Other,
-                Response::text(
-                    404,
-                    "no such route; routes: /healthz /experiments /experiments/{id} /query /query/schema /metrics /shutdown /work/lease /work/complete /work/heartbeat\n",
-                ),
-            ),
+            None => (Route::Other, Response::text(404, no_such_route_body())),
         },
     }
 }
@@ -522,18 +472,14 @@ fn roster_body(cache: &ArtifactCache) -> Vec<u8> {
 /// `degraded` with the failed-target list otherwise. Always `200` — the
 /// process itself is serving either way; load balancers key on
 /// `"status"`.
-///
-/// With a coordinator attached, two extra keys report the work tier:
-/// `"workers"` (alive and quarantined counts) and `"units"` (outstanding
-/// count). Without one the body is byte-identical to a plain server's.
-fn healthz_body(cache: &ArtifactCache, work: Option<&Arc<Coordinator>>) -> Vec<u8> {
+fn healthz_body(cache: &ArtifactCache) -> Vec<u8> {
     let failed = cache.failed_targets();
     let status = if failed.is_empty() {
         "ready"
     } else {
         "degraded"
     };
-    let mut fields = vec![
+    let mut body = Value::object([
         ("status", Value::from(status)),
         (
             "failed",
@@ -546,91 +492,21 @@ fn healthz_body(cache: &ArtifactCache, work: Option<&Arc<Coordinator>>) -> Vec<u
                 ])
             })),
         ),
-    ];
-    if let Some(coordinator) = work {
-        let stats = coordinator.stats();
-        fields.push((
-            "workers",
-            Value::object([
-                ("alive", Value::from(stats.workers_alive)),
-                ("quarantined", Value::from(stats.workers_quarantined)),
-            ]),
-        ));
-        fields.push((
-            "units",
-            Value::object([("outstanding", Value::from(stats.units_outstanding))]),
-        ));
-    }
-    let mut body = Value::object(fields).pretty();
+    ])
+    .pretty();
     body.push('\n');
     body.into_bytes()
 }
 
-/// Routes one `/work/*` request: `POST`-only, `404` without an attached
-/// coordinator, otherwise dispatched by [`work_response`].
-fn work_route(
-    request: &Request,
-    work: Option<&Arc<Coordinator>>,
-    route: Route,
-) -> (Route, Response) {
-    if request.method != "POST" {
-        return (route, Response::method_not_allowed("POST"));
-    }
-    let Some(coordinator) = work else {
-        return (
-            route,
-            Response::text(
-                404,
-                "no work tier active; start a coordinator with `accelwall work --grid <id>`\n",
-            ),
-        );
-    };
-    (route, work_response(request, coordinator, route))
-}
-
-/// Answers one `/work/*` POST against the active coordinator.
-///
-/// * a malformed body (bad JSON, missing field) — `400` with the
-///   protocol error;
-/// * an injected coordinator fault (`work-lease` / `work-complete`
-///   sites) — `500` with a typed `"kind": "injected"` body and a
-///   `Retry-After` hint, so workers retry instead of giving up;
-/// * otherwise `200` with the typed reply.
-fn work_response(request: &Request, coordinator: &Coordinator, route: Route) -> Response {
-    let Some(body) = std::str::from_utf8(&request.body)
-        .ok()
-        .and_then(|text| Value::parse(text).ok())
-    else {
-        return Response::text(400, "request body is not valid JSON\n");
-    };
-    let outcome = match route {
-        Route::WorkLease => parse_lease_request(&body)
-            .map(|(worker, max)| coordinator.lease(&worker, max).map(|r| r.to_value())),
-        Route::WorkComplete => CompleteRequest::parse(&body)
-            .map(|req| coordinator.complete(&req).map(|r| r.to_value())),
-        Route::WorkHeartbeat => {
-            HeartbeatRequest::parse(&body).map(|req| Ok(coordinator.heartbeat(&req).to_value()))
-        }
-        _ => return Response::text(404, "not a work route\n"),
-    };
-    match outcome {
-        Err(e) => Response::text(400, format!("{e}\n")),
-        Ok(Err(fault)) => {
-            let mut body = Value::object([
-                ("error", Value::from(fault.to_string())),
-                ("kind", Value::from("injected")),
-                ("retryable", Value::from(true)),
-            ])
-            .pretty();
-            body.push('\n');
-            Response::json(500, body).with_retry_after(1)
-        }
-        Ok(Ok(reply)) => {
-            let mut body = reply.pretty();
-            body.push('\n');
-            Response::json(200, body)
-        }
-    }
+/// The unknown-route `404` body, naming every routable path. Built from
+/// [`Route::ALL`]'s labels so the list cannot drift from the router.
+fn no_such_route_body() -> String {
+    let routes: Vec<&str> = Route::ALL
+        .iter()
+        .filter(|&&r| r != Route::Other)
+        .map(|r| r.label())
+        .collect();
+    format!("no such route; routes: {}\n", routes.join(" "))
 }
 
 /// The `GET /experiments/{id}` body, honoring `Accept: text/plain`.
@@ -839,11 +715,6 @@ mod tests {
                 .map(<[Value]>::len),
             Some(0)
         );
-        // No coordinator attached: no work-tier keys, and /work routes 404.
-        assert!(health.get("workers").is_none());
-        let (status, body) = post(addr, "/work/lease", r#"{"worker": "w", "max": 1}"#);
-        assert_eq!(status, 404);
-        assert!(body.contains("no work tier active"), "{body}");
 
         // /experiments mirrors the registry roster.
         let (status, body) = get(addr, "/experiments");
@@ -1016,114 +887,6 @@ mod tests {
         join.join().expect("server thread").expect("clean exit");
     }
 
-    #[test]
-    fn work_routes_lease_complete_and_report_health() {
-        use accelerator_wall::grids::GridRegistry;
-        use accelwall_work::{LeaseReply, WorkConfig};
-
-        let ctx = Arc::new(Ctx::with_space(SweepSpace::coarse()));
-        let grid = GridRegistry::standard().get("sensitivity").expect("grid");
-        let coordinator = Arc::new(Coordinator::new(grid, ctx, "coarse", WorkConfig::default()));
-        let cache = ArtifactCache::new(Registry::paper(), Ctx::with_space(SweepSpace::coarse()));
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            backlog: 8,
-            io_timeout: Duration::from_secs(10),
-            compute_deadline: Duration::from_mins(2),
-            ..ServerConfig::default()
-        };
-        let server =
-            Server::bind_with_work(config, cache, Some(Arc::clone(&coordinator))).expect("bind");
-        let handle = server.handle();
-        let join = std::thread::spawn(move || server.run());
-        let addr = handle.addr();
-
-        // Method and body validation.
-        let (status, _) = get(addr, "/work/lease");
-        assert_eq!(status, 405);
-        let (status, _) = post(addr, "/work/lease", "not json");
-        assert_eq!(status, 400);
-        let (status, body) = post(addr, "/work/lease", r#"{"worker": "w1"}"#);
-        assert_eq!(status, 400);
-        assert!(body.contains("\"max\""), "{body}");
-
-        // A lease hands out real unit indices for the attached grid.
-        let (status, body) = post(addr, "/work/lease", r#"{"worker": "w1", "max": 2}"#);
-        assert_eq!(status, 200, "{body}");
-        let reply = LeaseReply::parse(&Value::parse(&body).expect("lease JSON")).expect("reply");
-        let units = match reply {
-            LeaseReply::Units {
-                grid, space, units, ..
-            } => {
-                assert_eq!(grid, "sensitivity");
-                assert_eq!(space, "coarse");
-                units
-            }
-            other => panic!("expected a unit batch, got {other:?}"),
-        };
-        assert!(!units.is_empty());
-
-        // Heartbeats on held units have nothing to abandon.
-        let (status, body) = post(
-            addr,
-            "/work/heartbeat",
-            &format!(r#"{{"worker": "w1", "units": [{}]}}"#, units[0]),
-        );
-        assert_eq!(status, 200);
-        let beat = Value::parse(&body).expect("heartbeat JSON");
-        assert_eq!(
-            beat.get("abandon")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(0)
-        );
-
-        // Completing a unit is recorded once; the repeat is a duplicate.
-        let complete = format!(
-            r#"{{"worker": "w1", "unit": {}, "result": {{"x": 1.5}}}}"#,
-            units[0]
-        );
-        let (status, body) = post(addr, "/work/complete", &complete);
-        assert_eq!(status, 200);
-        let reply = Value::parse(&body).expect("complete JSON");
-        assert_eq!(reply.get("accepted").and_then(Value::as_bool), Some(true));
-        assert_eq!(reply.get("duplicate").and_then(Value::as_bool), Some(false));
-        let (_, body) = post(addr, "/work/complete", &complete);
-        let reply = Value::parse(&body).expect("complete JSON");
-        assert_eq!(reply.get("duplicate").and_then(Value::as_bool), Some(true));
-
-        // /healthz grows the work-tier keys when a coordinator is attached.
-        let (status, body) = get(addr, "/healthz");
-        assert_eq!(status, 200);
-        let health = Value::parse(&body).expect("healthz JSON");
-        assert!(health.get("workers").is_some(), "{body}");
-        assert!(
-            health
-                .get("units")
-                .and_then(|u| u.get("outstanding"))
-                .and_then(Value::as_f64)
-                .is_some(),
-            "{body}"
-        );
-
-        // /metrics exposes the accelwall_work_* series.
-        let (_, text) = get(addr, "/metrics");
-        assert!(metric(&text, "accelwall_work_leases_total") >= 1);
-        assert_eq!(metric(&text, "accelwall_work_completions_total"), 1);
-        assert_eq!(
-            metric(&text, "accelwall_work_duplicate_completions_total"),
-            1
-        );
-        assert_eq!(
-            metric(&text, "accelwall_work_units_total"),
-            coordinator.total_units() as u64
-        );
-
-        handle.shutdown();
-        join.join().expect("server thread").expect("clean exit");
-    }
-
     /// Reads exactly one `Content-Length`-framed response off a
     /// keep-alive connection (no EOF to lean on). `carry` holds bytes of
     /// later pipelined responses over-read by a previous call.
@@ -1215,6 +978,42 @@ mod tests {
         assert!(
             metric(&text, "accelwall_response_cache_hits_total") >= 2,
             "{text}"
+        );
+
+        // Warm `/experiments/{id}` hits are answered inline by the
+        // reactor, and each one still adds its wall time to the route's
+        // latency sum.
+        let latency_sum = |text: &str| -> f64 {
+            let name = "accelwall_request_latency_seconds_sum{route=\"/experiments/{id}\"}";
+            text.lines()
+                .find_map(|line| line.strip_prefix(name))
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or_else(|| panic!("{name} missing:\n{text}"))
+        };
+        let (status, _) = get(addr, "/experiments/fig3a");
+        assert_eq!(status, 200);
+        let (_, text) = get(addr, "/metrics");
+        let (sum_before, hits_before) = (
+            latency_sum(&text),
+            metric(&text, "accelwall_response_cache_hits_total"),
+        );
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut carry = Vec::new();
+        for _ in 0..20 {
+            stream
+                .write_all(b"GET /experiments/fig3a HTTP/1.1\r\nHost: t\r\n\r\n")
+                .expect("send");
+            assert_eq!(read_framed(&mut stream, &mut carry).0, 200);
+        }
+        let (_, text) = get(addr, "/metrics");
+        assert!(
+            metric(&text, "accelwall_response_cache_hits_total") >= hits_before + 20,
+            "{text}"
+        );
+        assert!(
+            latency_sum(&text) > sum_before,
+            "warm hits added no latency: {sum_before} -> {}",
+            latency_sum(&text)
         );
 
         handle.shutdown();

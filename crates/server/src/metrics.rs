@@ -26,12 +26,7 @@
 //!    run), and `accelwall_par_steals_total` (chunk batches taken by a
 //!    worker rather than the submitting thread) — how much intra-
 //!    experiment parallelism the serving process is actually getting;
-//! 6. when a distributed-work coordinator is attached
-//!    ([`accelwall_work::WorkStats`]), the `accelwall_work_*` series:
-//!    unit progress gauges plus the lease / completion / re-issue /
-//!    hedge / quarantine counters chaos tests assert on.
-//!
-//! 7. connection-reactor counters: connections admitted / open,
+//! 6. connection-reactor counters: connections admitted / open,
 //!    keep-alive reuses, pipelined requests, idle-timeout reaps,
 //!    over-cap sheds, event-loop iterations, and the pre-serialized
 //!    response cache's hit/miss/eviction/byte series
@@ -49,7 +44,6 @@ use std::time::Duration;
 use accelerator_wall::artifacts::CacheStats;
 use accelerator_wall::cache::CtxCounters;
 use accelwall_query::QueryStats;
-use accelwall_work::WorkStats;
 
 use crate::respcache::RespCacheStats;
 
@@ -70,19 +64,13 @@ pub enum Route {
     Metrics,
     /// `POST /shutdown`.
     Shutdown,
-    /// `POST /work/lease` (worker asks the coordinator for units).
-    WorkLease,
-    /// `POST /work/complete` (worker returns one unit's result).
-    WorkComplete,
-    /// `POST /work/heartbeat` (worker extends its leases).
-    WorkHeartbeat,
     /// Anything else, including unparseable requests.
     Other,
 }
 
 impl Route {
     /// Every route, in rendering order.
-    pub const ALL: [Route; 11] = [
+    pub const ALL: [Route; 8] = [
         Route::Healthz,
         Route::Experiments,
         Route::Experiment,
@@ -90,9 +78,6 @@ impl Route {
         Route::QuerySchema,
         Route::Metrics,
         Route::Shutdown,
-        Route::WorkLease,
-        Route::WorkComplete,
-        Route::WorkHeartbeat,
         Route::Other,
     ];
 
@@ -106,9 +91,6 @@ impl Route {
             Route::QuerySchema => "/query/schema",
             Route::Metrics => "/metrics",
             Route::Shutdown => "/shutdown",
-            Route::WorkLease => "/work/lease",
-            Route::WorkComplete => "/work/complete",
-            Route::WorkHeartbeat => "/work/heartbeat",
             Route::Other => "other",
         }
     }
@@ -243,16 +225,14 @@ impl Metrics {
     }
 
     /// Renders every counter in Prometheus text exposition format,
-    /// folding in the artifact-cache, shared-input, and query-engine
-    /// counters plus — when a distributed-work coordinator is attached —
-    /// the `accelwall_work_*` series.
+    /// folding in the artifact-cache, shared-input, query-engine, and
+    /// response-cache counters.
     pub fn render(
         &self,
         cache: CacheStats,
         ctx: CtxCounters,
         query: &QueryStats,
         resp: &RespCacheStats,
-        work: Option<&WorkStats>,
     ) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -468,34 +448,6 @@ impl Metrics {
             "accelwall_par_steals_total {}",
             accelwall_par::steals_total()
         );
-        if let Some(work) = work {
-            out.push_str("# TYPE accelwall_work gauge\n");
-            for (name, value) in [
-                ("units_total", work.units_total),
-                ("units_done", work.units_done),
-                ("units_outstanding", work.units_outstanding),
-                ("workers_alive", work.workers_alive),
-                ("workers_quarantined", work.workers_quarantined),
-            ] {
-                let _ = writeln!(out, "accelwall_work_{name} {value}");
-            }
-            out.push_str("# TYPE accelwall_work counter\n");
-            for (name, value) in [
-                ("leases_total", work.leases_total),
-                ("completions_total", work.completions_total),
-                (
-                    "duplicate_completions_total",
-                    work.duplicate_completions_total,
-                ),
-                ("reissues_total", work.reissues_total),
-                ("hedges_total", work.hedges_total),
-                ("heartbeats_total", work.heartbeats_total),
-                ("unit_failures_total", work.unit_failures_total),
-                ("local_units_total", work.local_units_total),
-            ] {
-                let _ = writeln!(out, "accelwall_work_{name} {value}");
-            }
-        }
         out
     }
 }
@@ -558,7 +510,6 @@ mod tests {
             empty_ctx(),
             &QueryStats::default(),
             &RespCacheStats::default(),
-            None,
         );
         assert!(text.contains("accelwall_requests_total{route=\"/healthz\"} 2"));
         assert!(text.contains("accelwall_requests_total{route=\"/experiments/{id}\"} 1"));
@@ -588,7 +539,6 @@ mod tests {
             empty_ctx(),
             &QueryStats::default(),
             &RespCacheStats::default(),
-            None,
         );
         assert!(text.contains("accelwall_connections_rejected_total 1"));
         assert!(text.contains("accelwall_artifact_cache_hits_total 2"));
@@ -613,7 +563,6 @@ mod tests {
             empty_ctx(),
             &QueryStats::default(),
             &RespCacheStats::default(),
-            None,
         );
         for series in [
             "accelwall_par_workers ",
@@ -636,7 +585,6 @@ mod tests {
             empty_ctx(),
             &QueryStats::default(),
             &RespCacheStats::default(),
-            None,
         );
         assert!(text.contains("accelwall_worker_panics_total 2"));
         // No plan is armed in unit tests: the gauge says so and no
@@ -667,13 +615,7 @@ mod tests {
             bytes: 4096,
             capacity_bytes: 65536,
         };
-        let text = m.render(
-            empty_stats(),
-            empty_ctx(),
-            &QueryStats::default(),
-            &resp,
-            None,
-        );
+        let text = m.render(empty_stats(), empty_ctx(), &QueryStats::default(), &resp);
         assert!(text.contains("accelwall_connections_total 2"));
         assert!(text.contains("accelwall_open_connections 1"));
         assert!(text.contains("accelwall_keepalive_reuses_total 1"));
@@ -686,46 +628,5 @@ mod tests {
         assert!(text.contains("accelwall_response_cache_evictions_total 1"));
         assert!(text.contains("accelwall_response_cache_bytes 4096"));
         assert!(text.contains("accelwall_response_cache_capacity_bytes 65536"));
-    }
-
-    #[test]
-    fn work_series_render_only_when_a_coordinator_is_attached() {
-        let m = Metrics::new();
-        let without = m.render(
-            empty_stats(),
-            empty_ctx(),
-            &QueryStats::default(),
-            &RespCacheStats::default(),
-            None,
-        );
-        assert!(!without.contains("accelwall_work_"));
-        let stats = WorkStats {
-            units_total: 8,
-            units_done: 5,
-            units_outstanding: 3,
-            workers_alive: 2,
-            workers_quarantined: 1,
-            leases_total: 9,
-            completions_total: 5,
-            duplicate_completions_total: 1,
-            reissues_total: 2,
-            hedges_total: 1,
-            heartbeats_total: 12,
-            unit_failures_total: 2,
-            local_units_total: 0,
-        };
-        let with = m.render(
-            empty_stats(),
-            empty_ctx(),
-            &QueryStats::default(),
-            &RespCacheStats::default(),
-            Some(&stats),
-        );
-        assert!(with.contains("accelwall_work_units_total 8"));
-        assert!(with.contains("accelwall_work_units_outstanding 3"));
-        assert!(with.contains("accelwall_work_workers_quarantined 1"));
-        assert!(with.contains("accelwall_work_reissues_total 2"));
-        assert!(with.contains("accelwall_work_hedges_total 1"));
-        assert!(with.contains("accelwall_work_duplicate_completions_total 1"));
     }
 }

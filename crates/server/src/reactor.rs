@@ -81,8 +81,8 @@ pub(crate) enum Completion {
 }
 
 /// The response-cache key for a request, when its shape is cacheable:
-/// `GET` on the immutable-content routes. `/healthz`, `/metrics`,
-/// `/shutdown`, and `/work/*` change per request and return `None`.
+/// `GET` on the immutable-content routes. `/healthz`, `/metrics`, and
+/// `/shutdown` change per request and return `None`.
 pub(crate) fn cache_key(request: &Request) -> Option<String> {
     if request.method != "GET" || !request.body.is_empty() {
         return None;
@@ -360,13 +360,20 @@ impl Reactor {
             }
             progress |= self.dispatch_requests(slot, &mut conn, pool, now);
             progress |= conn.flush(now);
-            for flushed in conn.take_flushed() {
-                self.metrics.observe(
-                    flushed.route,
-                    flushed.status,
-                    now.duration_since(flushed.started),
-                );
-                close_after_flush |= flushed.close_after;
+            let flushed = conn.take_flushed();
+            if !flushed.is_empty() {
+                // Read the clock after the write: an inline cache hit is
+                // stamped with this pass's `now`, so observing against
+                // `now` would record it as 0 µs.
+                let done = Instant::now();
+                for flushed in flushed {
+                    self.metrics.observe(
+                        flushed.route,
+                        flushed.status,
+                        done.duration_since(flushed.started),
+                    );
+                    close_after_flush |= flushed.close_after;
+                }
             }
         }
         let timed_out = conn.in_flight == 0

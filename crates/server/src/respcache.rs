@@ -28,6 +28,8 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
+use accelwall_query::canon::fnv1a;
+
 use crate::http::Response;
 use crate::metrics::Route;
 
@@ -202,17 +204,6 @@ impl ResponseCache {
             capacity_bytes: self.capacity as u64,
         }
     }
-}
-
-/// FNV-1a over `bytes` — the same dependency-free hash idiom the query
-/// engine keys with.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -112,8 +112,7 @@ impl Rng {
 /// Unlike pure exponential backoff, retries of concurrent failed
 /// clients spread out instead of thundering back in lockstep, while the
 /// `3 * previous` upper edge keeps the expected window growing toward
-/// the cap. Both the artifact cache's retry schedule and the work
-/// coordinator's re-lease backoff draw from this one implementation.
+/// the cap. The artifact cache's retry schedule draws from it.
 pub fn decorrelated_backoff(
     rng: &mut Rng,
     base: std::time::Duration,

@@ -5,14 +5,11 @@
 //!
 //! ```text
 //! accelwall <target> [--json]
-//! accelwall all [--json] [--quick] [--threads N]
+//! accelwall all [--json] [--threads N]
 //! accelwall dot [WORKLOAD] [--json]
 //! accelwall list [--json]
 //! accelwall query [--schema] [--field value ...]
 //! accelwall serve [--addr HOST:PORT] [--workers N] [--deadline-ms N] [--threads N]
-//! accelwall work --grid ID [--quick] [--addr HOST:PORT] [--lease-ms N]
-//!                [--work-deadline-ms N] [--expect-workers N] [--threads N]
-//! accelwall work --join HOST:PORT [--threads N]
 //! accelwall lint [--json] [--rule NAME ...] [--list-rules]
 //! ```
 //!
@@ -40,21 +37,6 @@
 //! a typo fails startup with the full accepted-site list, exactly like
 //! an unknown target.
 //!
-//! `work` is the fault-tolerant distributed tier (`accelwall-work`, see
-//! DESIGN.md "Distributed execution"). With `--grid ID` it coordinates:
-//! the named grid (`all`, `sweep`, `corpus`, `sensitivity`, `studies`)
-//! is sharded into numbered units served over `/work/*` routes on the
-//! embedded server, workers lease/compute/heartbeat until the fold
-//! finishes, and the assembled JSON document lands on stdout —
-//! byte-identical to the same grid computed locally. Banners and the
-//! reissue/hedge summary go to stderr so stdout stays parseable. With
-//! `--join HOST:PORT` the same binary runs as a worker against a
-//! coordinator. With no workers (or after `--work-deadline-ms`), the
-//! coordinator cuts over to the in-process pool, so a distributed run
-//! degrades gracefully to `accelwall all`-style local compute. `--quick`
-//! swaps in the coarse sweep space (also honored by `all`, keeping the
-//! byte-identity comparison cheap for chaos tests).
-//!
 //! `query` answers one ad-hoc what-if spec through `accelwall-query` —
 //! the same typed spec, validation, and executor behind the server's
 //! `/query` routes — and prints the JSON body. Its arguments are
@@ -73,7 +55,7 @@
 use accelerator_wall::error::Error;
 use accelerator_wall::experiments::dfg::dot_artifact;
 use accelerator_wall::json::Value;
-use accelerator_wall::prelude::{ArtifactCache, Ctx, Registry, SweepSpace};
+use accelerator_wall::prelude::{ArtifactCache, Ctx, Registry};
 use accelwall_server::{Server, ServerConfig};
 use std::io::Write;
 use std::process::ExitCode;
@@ -82,22 +64,10 @@ use std::process::ExitCode;
 /// unknown-flag error prints, mirroring the unknown-target error.
 const KNOWN_FLAGS: &[(&str, &str)] = &[
     ("--json", "emit the JSON artifact instead of text"),
-    ("--addr", "HOST:PORT the server binds (serve and work)"),
+    ("--addr", "HOST:PORT the server binds (serve only)"),
     ("--workers", "worker thread count (serve only)"),
     ("--deadline-ms", "compute deadline before 504 (serve only)"),
-    ("--threads", "compute-pool thread count (all, serve, work)"),
-    ("--quick", "use the coarse sweep space (all and work)"),
-    ("--grid", "grid id the coordinator shards (work only)"),
-    ("--join", "coordinator HOST:PORT to work for (work only)"),
-    ("--lease-ms", "lease TTL before re-issue (work coordinator)"),
-    (
-        "--work-deadline-ms",
-        "cut over to local compute after N ms (work coordinator)",
-    ),
-    (
-        "--expect-workers",
-        "workers to wait for before the local fallback (work coordinator)",
-    ),
+    ("--threads", "compute-pool thread count (all and serve)"),
     (
         "--rule",
         "run only the named lint rule, repeatable (lint only)",
@@ -115,12 +85,6 @@ struct Args {
     workers: Option<usize>,
     deadline_ms: Option<u64>,
     threads: Option<usize>,
-    quick: bool,
-    grid: Option<String>,
-    join: Option<String>,
-    lease_ms: Option<u64>,
-    work_deadline_ms: Option<u64>,
-    expect_workers: Option<usize>,
     rules: Vec<String>,
     list_rules: bool,
 }
@@ -169,41 +133,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
                     }
                     args.threads = Some(threads);
                 }
-                "quick" => {
-                    if inline.is_some() {
-                        return Err("flag --quick takes no value".to_string());
-                    }
-                    args.quick = true;
-                }
-                "grid" => args.grid = Some(value_for("a grid id")?),
-                "join" => args.join = Some(value_for("HOST:PORT")?),
-                "lease-ms" => {
-                    let value = value_for("milliseconds")?;
-                    let ms: u64 = value.parse().map_err(|_| {
-                        format!("--lease-ms needs a positive integer, got {value:?}")
-                    })?;
-                    if ms == 0 {
-                        return Err("--lease-ms must be at least 1".to_string());
-                    }
-                    args.lease_ms = Some(ms);
-                }
-                "work-deadline-ms" => {
-                    let value = value_for("milliseconds")?;
-                    let ms: u64 = value.parse().map_err(|_| {
-                        format!("--work-deadline-ms needs a positive integer, got {value:?}")
-                    })?;
-                    if ms == 0 {
-                        return Err("--work-deadline-ms must be at least 1".to_string());
-                    }
-                    args.work_deadline_ms = Some(ms);
-                }
-                "expect-workers" => {
-                    let value = value_for("a worker count")?;
-                    let n: usize = value
-                        .parse()
-                        .map_err(|_| format!("--expect-workers needs an integer, got {value:?}"))?;
-                    args.expect_workers = Some(n);
-                }
                 "rule" => args.rules.push(value_for("a rule name")?),
                 "list-rules" => {
                     if inline.is_some() {
@@ -243,64 +172,18 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
     // Flag/command compatibility, so typos fail loudly instead of
     // silently doing the default thing.
     let is_serve = args.target.as_deref() == Some("serve");
-    let is_work = args.target.as_deref() == Some("work");
     if !is_serve && (args.workers.is_some() || args.deadline_ms.is_some()) {
         return Err("--workers and --deadline-ms only apply to `accelwall serve`".to_string());
     }
-    if !is_serve && !is_work && args.addr.is_some() {
-        return Err("--addr only applies to `accelwall serve` and `accelwall work`".to_string());
+    if !is_serve && args.addr.is_some() {
+        return Err("--addr only applies to `accelwall serve`".to_string());
     }
     if is_serve && args.json {
         return Err("--json does not apply to `accelwall serve`".to_string());
     }
-    if !is_work
-        && (args.grid.is_some()
-            || args.join.is_some()
-            || args.lease_ms.is_some()
-            || args.work_deadline_ms.is_some()
-            || args.expect_workers.is_some())
-    {
-        return Err(
-            "--grid, --join, --lease-ms, --work-deadline-ms, and --expect-workers only apply to `accelwall work`"
-                .to_string(),
-        );
-    }
-    if is_work {
-        match (&args.grid, &args.join) {
-            (Some(_), Some(_)) => {
-                return Err("--grid and --join are mutually exclusive".to_string())
-            }
-            (None, None) => {
-                return Err(
-                    "`accelwall work` needs --grid ID (coordinate) or --join HOST:PORT (work)"
-                        .to_string(),
-                )
-            }
-            _ => {}
-        }
-        if args.join.is_some()
-            && (args.addr.is_some()
-                || args.lease_ms.is_some()
-                || args.work_deadline_ms.is_some()
-                || args.expect_workers.is_some()
-                || args.quick
-                || args.json)
-        {
-            return Err(
-                "a worker takes only --join and --threads; the coordinator owns the other work flags"
-                    .to_string(),
-            );
-        }
-    }
-    if args.quick && !is_work && args.target.as_deref() != Some("all") {
-        return Err("--quick only applies to `accelwall all` and `accelwall work`".to_string());
-    }
-    let computes = matches!(args.target.as_deref(), Some("serve" | "all" | "work"));
+    let computes = matches!(args.target.as_deref(), Some("serve" | "all"));
     if args.threads.is_some() && !computes {
-        return Err(
-            "--threads only applies to `accelwall all`, `accelwall serve`, and `accelwall work`"
-                .to_string(),
-        );
+        return Err("--threads only applies to `accelwall all` and `accelwall serve`".to_string());
     }
     let is_lint = args.target.as_deref() == Some("lint");
     if !is_lint && (!args.rules.is_empty() || args.list_rules) {
@@ -351,14 +234,12 @@ fn main() -> ExitCode {
                 println!("  {:<12} run every target above", "all");
                 println!("  {:<12} answer an ad-hoc what-if spec", "query");
                 println!("  {:<12} serve artifacts over HTTP", "serve");
-                println!("  {:<12} coordinate or join a distributed sweep", "work");
                 println!("  {:<12} check workspace invariants", "lint");
             }
             ExitCode::SUCCESS
         }
-        Some("all") => run_all(&registry, args.json, args.quick),
+        Some("all") => run_all(&registry, args.json),
         Some("serve") => serve(registry, &args),
-        Some("work") => work(registry, &args),
         Some("lint") => lint(&args),
         Some("dot") => {
             // `dot` keeps its positional operand: any Table IV
@@ -609,155 +490,11 @@ fn serve(registry: Registry, args: &Args) -> ExitCode {
     }
 }
 
-/// Runs the distributed work tier: coordinator mode with `--grid`,
-/// worker mode with `--join`.
-///
-/// The coordinator binds the artifact server with the `/work/*` routes
-/// active, serves leases until every unit is folded (cutting over to
-/// the in-process pool when no workers show up or the work deadline
-/// passes), prints the assembled JSON document on stdout, and reports
-/// the address banner plus the reissue/hedge summary on stderr. A
-/// worker loops lease → compute → complete against the coordinator and
-/// exits when told `done` (or when the coordinator goes away).
-fn work(registry: Registry, args: &Args) -> ExitCode {
-    use accelerator_wall::grids::GridRegistry;
-    use accelwall_work::{run_worker, Coordinator, WorkConfig, WorkerConfig};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let armed = match arm_faults(&registry) {
-        Ok(armed) => armed,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(join) = &args.join {
-        let config = WorkerConfig::new(join.clone());
-        eprintln!(
-            "accelwall work worker {} joining http://{join}",
-            config.name
-        );
-        if let Some(plan) = armed {
-            eprintln!("accelwall work armed fault plan: {plan}");
-        }
-        return match run_worker(&config) {
-            Ok(report) => {
-                eprintln!(
-                    "accelwall work worker {} done leased={} computed={} failed={} abandoned={}",
-                    config.name, report.leased, report.computed, report.failed, report.abandoned
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("work worker failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let grid_id = args.grid.as_deref().unwrap_or_default();
-    let grid = match GridRegistry::standard().get(grid_id) {
-        Ok(grid) => grid,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (ctx, space) = if args.quick {
-        (Ctx::with_space(SweepSpace::coarse()), "coarse")
-    } else {
-        (Ctx::new(), "table3")
-    };
-    let mut config = WorkConfig::default();
-    if let Some(ms) = args.lease_ms {
-        config.lease_ttl = Duration::from_millis(ms);
-    }
-    if let Some(ms) = args.work_deadline_ms {
-        config.work_deadline = Some(Duration::from_millis(ms));
-    }
-    if let Some(n) = args.expect_workers {
-        config.expect_workers = n;
-    }
-    let coordinator = Arc::new(Coordinator::new(grid, Arc::new(ctx), space, config));
-    let server_config = ServerConfig {
-        addr: args
-            .addr
-            .clone()
-            .unwrap_or_else(|| "127.0.0.1:8390".to_string()),
-        ..ServerConfig::default()
-    };
-    let cache = ArtifactCache::new(registry, Ctx::new());
-    let server = match Server::bind_with_work(server_config, cache, Some(Arc::clone(&coordinator)))
-    {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("work failed to bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // One parseable stderr line so scripts and the chaos tests can
-    // discover the resolved port when binding to port 0; stdout is
-    // reserved for the assembled JSON document.
-    eprintln!(
-        "accelwall work coordinating http://{} grid={} units={}",
-        server.local_addr(),
-        coordinator.grid_id(),
-        coordinator.total_units()
-    );
-    if let Some(plan) = armed {
-        eprintln!("accelwall work armed fault plan: {plan}");
-    }
-    let handle = server.handle();
-    let server_thread = std::thread::spawn(move || server.run());
-    let outcome = coordinator.run();
-    handle.shutdown();
-    let joined = server_thread.join();
-    let stats = coordinator.stats();
-    match outcome {
-        Ok(doc) => {
-            println!("{}", doc.pretty());
-            eprintln!(
-                "accelwall work done units={} reissues={} hedges={} duplicates={} local={}",
-                stats.units_done,
-                stats.reissues_total,
-                stats.hedges_total,
-                stats.duplicate_completions_total,
-                stats.local_units_total
-            );
-            match joined {
-                Ok(Ok(())) => ExitCode::SUCCESS,
-                Ok(Err(e)) => {
-                    eprintln!("work server failed: {e}");
-                    ExitCode::FAILURE
-                }
-                Err(_) => {
-                    eprintln!("work server thread panicked");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("work failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Runs the whole registry against one shared memoizing [`Ctx`]:
 /// independent experiments execute concurrently, and every shared input
 /// (corpus, potential model, per-workload sweeps) is computed once.
-/// `quick` swaps in the coarse sweep space — the same space a `--quick`
-/// work coordinator tells its workers to build, keeping the two
-/// byte-comparable.
-fn run_all(registry: &Registry, json: bool, quick: bool) -> ExitCode {
-    let ctx = if quick {
-        Ctx::with_space(SweepSpace::coarse())
-    } else {
-        Ctx::new()
-    };
-    let results = match registry.run_all(&ctx) {
+fn run_all(registry: &Registry, json: bool) -> ExitCode {
+    let results = match registry.run_all(&Ctx::new()) {
         Ok(results) => results,
         Err(e) => {
             eprintln!("scheduling failed: {e}");

@@ -211,7 +211,6 @@ fn list_matches_the_registry_exactly() {
     expected.push("all");
     expected.push("query");
     expected.push("serve");
-    expected.push("work");
     expected.push("lint");
     assert_eq!(listed, expected, "`list` must mirror the registry");
 }

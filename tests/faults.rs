@@ -7,11 +7,12 @@
 //! retryably without poisoning the query LRU, and malformed
 //! `ACCELWALL_FAULTS` specs abort startup before the socket binds.
 
+mod common;
+
 use accelerator_wall::json::Value;
 use accelerator_wall::prelude::Registry;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use common::{cli_stdout, get, metric, try_request, ServeProcess};
+use std::process::Command;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -19,159 +20,18 @@ use std::time::{Duration, Instant};
 /// ...) without slowing the suite down.
 const PAST_BACKOFF: Duration = Duration::from_millis(300);
 
-/// A running `accelwall serve` child with a fault plan armed.
-struct ServeProcess {
-    child: Child,
-    addr: String,
-    // Keeps the child's stdout pipe open for its lifetime.
-    stdout: BufReader<std::process::ChildStdout>,
-}
-
-impl ServeProcess {
-    /// Spawns `accelwall serve` with `ACCELWALL_FAULTS=faults`, reads
-    /// the resolved address off the announcement line, and asserts the
-    /// armed-plan line echoes the spec back.
-    fn spawn(faults: &str, extra_args: &[&str]) -> ServeProcess {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_accelwall"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
-            .args(extra_args)
-            .env("ACCELWALL_FAULTS", faults)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("serve spawns");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut stdout = BufReader::new(stdout);
-        let mut banner = String::new();
-        stdout.read_line(&mut banner).expect("an announcement line");
-        let addr = banner
-            .split("http://")
-            .nth(1)
-            .and_then(|rest| rest.split_whitespace().next())
-            .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
-            .to_string();
-        let mut armed = String::new();
-        stdout.read_line(&mut armed).expect("an armed-plan line");
-        assert!(
-            armed.contains("armed fault plan:"),
-            "missing armed-plan announcement in {armed:?}"
-        );
-        ServeProcess {
-            child,
-            addr,
-            stdout,
-        }
-    }
-
-    /// Issues `POST /shutdown` and asserts the process drains cleanly.
-    fn shutdown_and_wait(mut self) {
-        let resp = request(&self.addr, "POST", "/shutdown");
-        assert_eq!((resp.status, resp.body.as_str()), (200, "draining\n"));
-        let status = self.child.wait().expect("serve exits");
-        assert!(status.success(), "serve exited {status:?}");
-        let mut rest = String::new();
-        self.stdout
-            .read_to_string(&mut rest)
-            .expect("stdout drains");
-        assert!(
-            rest.contains("drained cleanly"),
-            "missing drain announcement in {rest:?}"
-        );
-    }
-}
-
-impl Drop for ServeProcess {
-    fn drop(&mut self) {
-        // Only reached when an assertion failed mid-test.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// One parsed HTTP response.
-struct Resp {
-    status: u16,
-    headers: String,
-    body: String,
-}
-
-impl Resp {
-    /// The value of `name` (case-insensitive), when present.
-    fn header(&self, name: &str) -> Option<String> {
-        let needle = format!("{}:", name.to_ascii_lowercase());
-        self.headers.lines().find_map(|l| {
-            l.to_ascii_lowercase()
-                .starts_with(&needle)
-                .then(|| l[needle.len()..].trim().to_string())
-        })
-    }
-
-    /// The body parsed as JSON.
-    fn json(&self) -> Value {
-        Value::parse(&self.body).unwrap_or_else(|e| panic!("{e} in body:\n{}", self.body))
-    }
-}
-
-/// One exchange; `None` when the server dropped the connection without
-/// answering (what a `serve-request` panic looks like from outside).
-fn try_request(addr: &str, method: &str, path: &str) -> Option<Resp> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_mins(2)))
-        .unwrap();
-    stream
-        .write_all(
-            format!("{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .expect("send");
-    let mut raw = String::new();
-    match stream.read_to_string(&mut raw) {
-        Ok(_) if !raw.is_empty() => {}
-        // EOF with no bytes, or a reset mid-read: dropped.
-        _ => return None,
-    }
-    let status = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
-    let (headers, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    Some(Resp {
-        status,
-        headers,
-        body,
-    })
-}
-
-/// One exchange that must be answered.
-fn request(addr: &str, method: &str, path: &str) -> Resp {
-    try_request(addr, method, path).unwrap_or_else(|| panic!("{method} {path}: connection dropped"))
-}
-
-fn get(addr: &str, path: &str) -> Resp {
-    request(addr, "GET", path)
-}
-
-/// Pulls one `accelwall_*` metric value out of a `/metrics` body.
-fn metric(metrics: &str, name: &str) -> f64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing in:\n{metrics}"))
-}
-
-fn cli_stdout(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_accelwall"))
-        .args(args)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{args:?} failed");
-    String::from_utf8(out.stdout).expect("utf-8 stdout")
+/// Spawns `accelwall serve` with `ACCELWALL_FAULTS=faults` and asserts
+/// the armed-plan line echoes the spec back.
+fn spawn(faults: &str, extra_args: &[&str]) -> ServeProcess {
+    let mut args = vec!["--workers", "2"];
+    args.extend_from_slice(extra_args);
+    let mut serve = ServeProcess::spawn(&args, &[("ACCELWALL_FAULTS", Some(faults))]);
+    let armed = serve.next_line();
+    assert!(
+        armed.contains("armed fault plan:"),
+        "missing armed-plan announcement in {armed:?}"
+    );
+    serve
 }
 
 /// The ISSUE acceptance scenario: `fig3a:err:2` fails the first two
@@ -180,7 +40,7 @@ fn cli_stdout(args: &[&str]) -> String {
 /// the retries visible in `/metrics` and no worker casualties.
 #[test]
 fn transient_errors_give_retryable_500s_then_recover_byte_identical() {
-    let serve = ServeProcess::spawn("fig3a:err:2", &[]);
+    let serve = spawn("fig3a:err:2", &[]);
     let addr = serve.addr.clone();
 
     let first = get(&addr, "/experiments/fig3a");
@@ -249,7 +109,7 @@ fn transient_errors_give_retryable_500s_then_recover_byte_identical() {
 /// capacity, no pool worker dies, and the target recovers.
 #[test]
 fn a_panicking_experiment_is_contained_and_other_targets_keep_serving() {
-    let serve = ServeProcess::spawn("fig3a:panic:1", &[]);
+    let serve = spawn("fig3a:panic:1", &[]);
     let addr = serve.addr.clone();
 
     let failed = get(&addr, "/experiments/fig3a");
@@ -290,12 +150,12 @@ fn a_panicking_experiment_is_contained_and_other_targets_keep_serving() {
 /// server keeps answering afterwards with the panics counted.
 #[test]
 fn worker_panics_drop_the_connection_and_the_pool_respawns() {
-    let serve = ServeProcess::spawn("serve-request:panic:2", &[]);
+    let serve = spawn("serve-request:panic:2", &[]);
     let addr = serve.addr.clone();
 
     for i in 0..2 {
         assert!(
-            try_request(&addr, "GET", "/healthz").is_none(),
+            try_request(&addr, "GET", "/healthz", None).is_none(),
             "connection {i} should have died on the injected worker panic"
         );
     }
@@ -342,7 +202,7 @@ fn worker_panics_drop_the_connection_and_the_pool_respawns() {
 /// later request is served from it, with exactly one compute spent.
 #[test]
 fn a_hung_compute_times_out_with_504_then_settles() {
-    let serve = ServeProcess::spawn("fig3a:hang:600ms", &["--deadline-ms", "150"]);
+    let serve = spawn("fig3a:hang:600ms", &["--deadline-ms", "150"]);
     let addr = serve.addr.clone();
 
     let timed_out = get(&addr, "/experiments/fig3a");
@@ -383,7 +243,7 @@ fn a_hung_compute_times_out_with_504_then_settles() {
 /// served from the LRU without another compute.
 #[test]
 fn injected_query_faults_shed_then_fail_retryably_without_poisoning_the_cache() {
-    let serve = ServeProcess::spawn("query-cache-admit:err:1,query-compute:err:1", &[]);
+    let serve = spawn("query-cache-admit:err:1,query-compute:err:1", &[]);
     let addr = serve.addr.clone();
     let path = "/query?workload=fft&node=7nm&lanes=2";
 
@@ -444,7 +304,7 @@ fn injected_query_faults_shed_then_fail_retryably_without_poisoning_the_cache() 
 fn injected_connection_faults_shed_or_drop_without_killing_the_reactor() {
     // err: the connection is answered 503 and closed, never reaching
     // the parser or the pool.
-    let serve = ServeProcess::spawn("serve-conn:err:1", &[]);
+    let serve = spawn("serve-conn:err:1", &[]);
     let addr = serve.addr.clone();
     let shed = get(&addr, "/healthz");
     assert_eq!(shed.status, 503, "body:\n{}", shed.body);
@@ -465,11 +325,11 @@ fn injected_connection_faults_shed_or_drop_without_killing_the_reactor() {
 
     // panic: the connection drops with no bytes, the reactor survives
     // and keeps serving.
-    let serve = ServeProcess::spawn("serve-conn:panic:2", &[]);
+    let serve = spawn("serve-conn:panic:2", &[]);
     let addr = serve.addr.clone();
     for i in 0..2 {
         assert!(
-            try_request(&addr, "GET", "/healthz").is_none(),
+            try_request(&addr, "GET", "/healthz", None).is_none(),
             "connection {i} should have been dropped by the injected accept panic"
         );
     }

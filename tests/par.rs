@@ -5,12 +5,12 @@
 //! artifact bytes (`accelwall all --json` is byte-identical at 1 and 8
 //! threads), and `--threads` observably pinning the served pool size.
 
+mod common;
+
 use accelerator_wall::json::Value;
 use accelerator_wall::prelude::*;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::process::{Command, Stdio};
-use std::time::Duration;
+use common::{get, ServeProcess};
+use std::process::Command;
 
 #[test]
 fn par_map_matches_the_serial_loop_at_integration_scale() {
@@ -83,32 +83,11 @@ fn serve_reports_the_pinned_pool_size() {
     // `serve --threads 3` must reach the pool before anything starts it:
     // /metrics then gauges 3 - 1 = 2 workers (the submitting thread is
     // the third participant).
-    let mut child = Command::new(env!("CARGO_BIN_EXE_accelwall"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--threads",
-            "3",
-        ])
-        .env_remove(accelwall_par::THREADS_ENV)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve spawns");
-    let stdout = child.stdout.take().expect("stdout piped");
-    let mut stdout = BufReader::new(stdout);
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).expect("an announcement line");
-    let addr = banner
-        .split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
-        .to_string();
-    let metrics = get(&addr, "/metrics");
+    let serve = ServeProcess::spawn(
+        &["--workers", "2", "--threads", "3"],
+        &[(accelwall_par::THREADS_ENV, None)],
+    );
+    let metrics = get(&serve.addr, "/metrics").body;
     let workers_line = metrics
         .lines()
         .find(|l| l.starts_with("accelwall_par_workers "))
@@ -116,27 +95,5 @@ fn serve_reports_the_pinned_pool_size() {
     assert_eq!(workers_line, "accelwall_par_workers 2");
     assert!(metrics.contains("accelwall_par_jobs_total "));
     assert!(metrics.contains("accelwall_par_steals_total "));
-    let drain = request(&addr, "POST", "/shutdown");
-    assert_eq!(drain, "draining\n");
-    let status = child.wait().expect("serve exits");
-    assert!(status.success(), "serve exited {status:?}");
-}
-
-fn get(addr: &str, path: &str) -> String {
-    request(addr, "GET", path)
-}
-
-fn request(addr: &str, method: &str, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_mins(1)))
-        .unwrap();
-    stream
-        .write_all(format!("{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-        .expect("send");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    raw.split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default()
+    serve.shutdown_and_wait();
 }

@@ -5,137 +5,14 @@
 //! a graceful drain that finishes in-flight requests before the process
 //! exits.
 
+mod common;
+
 use accelerator_wall::json::Value;
 use accelerator_wall::prelude::Registry;
-use std::io::{BufRead, BufReader, Read, Write};
+use common::{cli_stdout, get, metric, read_response, request, Resp, ServeProcess};
+use std::io::Write;
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
-
-/// A running `accelwall serve` child plus the address it bound.
-struct ServeProcess {
-    child: Child,
-    addr: String,
-    // Keeps the child's stdout pipe open for its lifetime (dropping the
-    // read end would turn the final drain announcement into EPIPE).
-    stdout: BufReader<std::process::ChildStdout>,
-}
-
-impl ServeProcess {
-    /// Spawns `accelwall serve` on a kernel-assigned port and reads the
-    /// resolved address off the announcement line.
-    fn spawn() -> ServeProcess {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_accelwall"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "4"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("serve spawns");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut stdout = BufReader::new(stdout);
-        let mut banner = String::new();
-        stdout.read_line(&mut banner).expect("an announcement line");
-        let addr = banner
-            .split("http://")
-            .nth(1)
-            .and_then(|rest| rest.split_whitespace().next())
-            .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
-            .to_string();
-        ServeProcess {
-            child,
-            addr,
-            stdout,
-        }
-    }
-
-    /// Issues `POST /shutdown` (the drain begins; queued work finishes).
-    fn shutdown(&self) {
-        let (status, body) = request(&self.addr, "POST", "/shutdown", None);
-        assert_eq!((status, body.as_str()), (200, "draining\n"));
-    }
-
-    /// Blocks until the process exits and asserts it drained cleanly.
-    fn wait(mut self) {
-        let status = self.child.wait().expect("serve exits");
-        assert!(status.success(), "serve exited {status:?}");
-        let mut rest = String::new();
-        self.stdout
-            .read_to_string(&mut rest)
-            .expect("stdout drains");
-        assert!(
-            rest.contains("drained cleanly"),
-            "missing drain announcement in {rest:?}"
-        );
-    }
-
-    /// Issues `POST /shutdown` and asserts the process drains cleanly.
-    fn shutdown_and_wait(self) {
-        self.shutdown();
-        self.wait();
-    }
-}
-
-impl Drop for ServeProcess {
-    fn drop(&mut self) {
-        // Only reached when an assertion failed mid-test.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// One request/response exchange; returns (status, body).
-fn request(addr: &str, method: &str, path: &str, accept: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_mins(2)))
-        .unwrap();
-    let accept = accept.map_or(String::new(), |a| format!("Accept: {a}\r\n"));
-    stream
-        .write_all(
-            format!("{method} {path} HTTP/1.1\r\nHost: t\r\n{accept}Connection: close\r\n\r\n")
-                .as_bytes(),
-        )
-        .expect("send");
-    read_response(&mut stream)
-}
-
-fn read_response(stream: &mut TcpStream) -> (u16, String) {
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read");
-    let status = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: &str, path: &str) -> (u16, String) {
-    request(addr, "GET", path, None)
-}
-
-/// Pulls one `accelwall_*` metric value out of a `/metrics` body.
-fn metric(metrics: &str, name: &str) -> f64 {
-    metrics
-        .lines()
-        .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing in:\n{metrics}"))
-}
-
-fn cli_stdout(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_accelwall"))
-        .args(args)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{args:?} failed");
-    String::from_utf8(out.stdout).expect("utf-8 stdout")
-}
 
 /// The acceptance test: concurrent requests for every registry target
 /// return byte-identical JSON to `accelwall all --json`, the shared
@@ -146,11 +23,15 @@ fn serves_every_target_byte_identical_to_the_cli_then_drains() {
     let all = cli_stdout(&["all", "--json"]);
     let all_doc = Value::parse(&all).expect("all --json parses");
 
-    let serve = ServeProcess::spawn();
+    let serve = ServeProcess::spawn(&["--workers", "4"], &[]);
     let addr = serve.addr.clone();
 
     // The roster route is byte-identical to `accelwall list --json`.
-    let (status, roster) = get(&addr, "/experiments");
+    let Resp {
+        status,
+        body: roster,
+        ..
+    } = get(&addr, "/experiments");
     assert_eq!(status, 200);
     assert_eq!(roster, cli_stdout(&["list", "--json"]));
 
@@ -162,7 +43,7 @@ fn serves_every_target_byte_identical_to_the_cli_then_drains() {
             let all_doc = &all_doc;
             scope.spawn(move || {
                 for id in chunk {
-                    let (status, body) = get(addr, &format!("/experiments/{id}"));
+                    let Resp { status, body, .. } = get(addr, &format!("/experiments/{id}"));
                     assert_eq!(status, 200, "{id} failed:\n{body}");
                     let mut expected = all_doc
                         .get(id)
@@ -176,7 +57,11 @@ fn serves_every_target_byte_identical_to_the_cli_then_drains() {
     });
 
     // The compute-once invariant held across the whole lifetime.
-    let (status, metrics) = get(&addr, "/metrics");
+    let Resp {
+        status,
+        body: metrics,
+        ..
+    } = get(&addr, "/metrics");
     assert_eq!(status, 200);
     assert!(metric(&metrics, "accelwall_ctx_corpus_computes") <= 1.0);
     assert!(metric(&metrics, "accelwall_ctx_model_computes") <= 1.0);
@@ -203,7 +88,7 @@ fn serves_every_target_byte_identical_to_the_cli_then_drains() {
     serve.shutdown();
     slow.write_all(b"TP/1.1\r\nHost: t\r\n\r\n")
         .expect("rest of the head");
-    let (status, body) = read_response(&mut slow);
+    let Resp { status, body, .. } = read_response(&mut slow).expect("an answer");
     assert_eq!(status, 200, "in-flight request dropped during drain");
     assert!(Value::parse(&body).is_ok());
     serve.wait();
@@ -214,13 +99,13 @@ fn serves_every_target_byte_identical_to_the_cli_then_drains() {
 /// to the server path, observed through `/metrics`.
 #[test]
 fn dependent_target_over_http_computes_prerequisites_once() {
-    let serve = ServeProcess::spawn();
+    let serve = ServeProcess::spawn(&["--workers", "4"], &[]);
     let addr = serve.addr.clone();
 
     // fig14 declares fig13 as a dependency; request the dependent first.
-    let (status, _) = get(&addr, "/experiments/fig14");
+    let Resp { status, .. } = get(&addr, "/experiments/fig14");
     assert_eq!(status, 200);
-    let (_, metrics) = get(&addr, "/metrics");
+    let metrics = get(&addr, "/metrics").body;
     assert_eq!(
         metric(&metrics, "accelwall_artifact_cache_computes_total"),
         2.0,
@@ -228,9 +113,9 @@ fn dependent_target_over_http_computes_prerequisites_once() {
     );
 
     // The prerequisite is already warm: a hit, no new compute.
-    let (status, _) = get(&addr, "/experiments/fig13");
+    let Resp { status, .. } = get(&addr, "/experiments/fig13");
     assert_eq!(status, 200);
-    let (_, metrics) = get(&addr, "/metrics");
+    let metrics = get(&addr, "/metrics").body;
     assert_eq!(
         metric(&metrics, "accelwall_artifact_cache_computes_total"),
         2.0
@@ -251,10 +136,10 @@ fn dependent_target_over_http_computes_prerequisites_once() {
 /// the server down.
 #[test]
 fn error_responses_derive_from_the_registry() {
-    let serve = ServeProcess::spawn();
+    let serve = ServeProcess::spawn(&["--workers", "4"], &[]);
     let addr = serve.addr.clone();
 
-    let (status, body) = get(&addr, "/healthz");
+    let Resp { status, body, .. } = get(&addr, "/healthz");
     assert_eq!(status, 200);
     let health = Value::parse(&body).expect("healthz is JSON");
     assert_eq!(health.get("status").and_then(Value::as_str), Some("ready"));
@@ -265,7 +150,7 @@ fn error_responses_derive_from_the_registry() {
         .is_empty());
 
     // Unknown id: the 404 body is the CLI's roster-carrying error.
-    let (status, body) = get(&addr, "/experiments/fig99");
+    let Resp { status, body, .. } = get(&addr, "/experiments/fig99");
     assert_eq!(status, 404);
     assert!(body.contains("unknown target \"fig99\""));
     for id in Registry::paper().ids() {
@@ -273,7 +158,7 @@ fn error_responses_derive_from_the_registry() {
     }
 
     // Unknown path: 404 naming the route table.
-    let (status, body) = get(&addr, "/fig3b");
+    let Resp { status, body, .. } = get(&addr, "/fig3b");
     assert_eq!(status, 404);
     assert!(body.contains("/experiments/{id}"));
 
@@ -284,19 +169,21 @@ fn error_responses_derive_from_the_registry() {
         ("GET", "/shutdown"),
         ("PUT", "/healthz"),
     ] {
-        let (status, _) = request(&addr, method, path, None);
+        let Resp { status, .. } = request(&addr, method, path, None);
         assert_eq!(status, 405, "{method} {path}");
     }
 
     // Malformed request line: 400.
     let mut stream = TcpStream::connect(&addr).expect("connect");
     stream.write_all(b"not http at all\r\n\r\n").expect("send");
-    let (status, _) = read_response(&mut stream);
+    let Resp { status, .. } = read_response(&mut stream).expect("an answer");
     assert_eq!(status, 400);
 
     // Accept: text/plain returns the human rendering, same bytes as the
     // one-shot CLI's default output.
-    let (status, text) = request(&addr, "GET", "/experiments/fig3a", Some("text/plain"));
+    let Resp {
+        status, body: text, ..
+    } = request(&addr, "GET", "/experiments/fig3a", Some("text/plain"));
     assert_eq!(status, 200);
     assert_eq!(text, cli_stdout(&["fig3a"]));
 
