@@ -12,7 +12,9 @@
 //!    requests per second — measured twice: close-per-request (every
 //!    request pays connect + teardown) and keep-alive (one connection
 //!    per client, requests pipelined 16 deep), plus a concurrency sweep
-//!    over 1/8/64/256 keep-alive connections;
+//!    over 1/8/64/256 keep-alive connections, each row timed from a
+//!    barrier after every client has connected (its slowest connect is
+//!    reported beside it as `connect_ms`);
 //! 4. **query cold/warm latency and hit rate** — `GET /query` for an
 //!    ad-hoc design point: the cold miss computes through the engine,
 //!    the warm repeats come out of the sharded LRU, and the hit rate is
@@ -22,14 +24,15 @@
 //!    attempt pays; the bench asserts it stays under 5 % of the warm
 //!    request path.
 //!
-//! The output is one JSON document; `BENCH_serve.json` at the repo root
-//! records a baseline run (`cargo bench -p accelwall-bench --bench
-//! serve > BENCH_serve.json`).
+//! The output is one JSON document, with the host's core count as
+//! `cores`; `BENCH_serve.json` at the repo root records a baseline run
+//! (`cargo bench -p accelwall-bench --bench serve > BENCH_serve.json`).
 
 use accelerator_wall::prelude::{ArtifactCache, Ctx, Registry};
 use accelwall_server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 fn get(addr: SocketAddr, path: &str) -> String {
@@ -50,8 +53,7 @@ fn get(addr: SocketAddr, path: &str) -> String {
 
 /// Drives `requests` GETs for `path` down ONE keep-alive connection in
 /// pipelined bursts of `depth`, asserting every response is a 200.
-fn keepalive_client(addr: SocketAddr, path: &str, requests: usize, depth: usize) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+fn keepalive_client(mut stream: TcpStream, path: &str, requests: usize, depth: usize) {
     stream.set_nodelay(true).ok();
     let request = format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n");
     let mut burst_bytes = Vec::with_capacity(request.len() * depth);
@@ -146,9 +148,9 @@ fn main() {
     let rps = total_requests / throughput_wall.as_secs_f64();
 
     // 3b. Keep-alive throughput: the same 8 clients, but each holds ONE
-    // connection and pipelines requests 16 deep — the reactor's warm
-    // path (parse → response-cache hit → writev), no per-request
-    // connect/teardown.
+    // connection and pipelines requests 16 deep — the connection
+    // thread's warm path (parse → response-cache hit → writev), no
+    // per-request connect/teardown.
     const PIPELINE_DEPTH: usize = 16;
     const KEEPALIVE_REQUESTS_PER_CLIENT: usize = 4_000;
     let keepalive_start = Instant::now();
@@ -156,7 +158,7 @@ fn main() {
         for _ in 0..CLIENTS {
             scope.spawn(|| {
                 keepalive_client(
-                    addr,
+                    TcpStream::connect(addr).expect("connect"),
                     "/experiments/fig3b",
                     KEEPALIVE_REQUESTS_PER_CLIENT,
                     PIPELINE_DEPTH,
@@ -170,25 +172,45 @@ fn main() {
     let keepalive_close_ratio = rps_keepalive / rps;
 
     // 3c. Concurrency sweep: keep-alive throughput as the connection
-    // count scales past the worker count (the reactor multiplexes; the
-    // pool is never the warm path).
+    // count scales past the compute-slot count (each connection has its
+    // own thread; cache hits never take a compute slot). Every client
+    // connects first; the clock starts once all have, so a slow
+    // handshake shows up in `connect_ms`, not in `rps`.
     let mut sweep = Vec::new();
     for conns in [1usize, 8, 64, 256] {
         let per_client = (16_384 / conns).max(PIPELINE_DEPTH);
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..conns {
-                scope.spawn(|| {
-                    keepalive_client(addr, "/experiments/fig3b", per_client, PIPELINE_DEPTH);
-                });
-            }
+        let connected = Barrier::new(conns + 1);
+        let (wall, slowest_connect) = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..conns)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let dial = Instant::now();
+                        let stream = TcpStream::connect(addr).expect("connect");
+                        let connect = dial.elapsed();
+                        connected.wait();
+                        keepalive_client(stream, "/experiments/fig3b", per_client, PIPELINE_DEPTH);
+                        connect
+                    })
+                })
+                .collect();
+            connected.wait();
+            let start = Instant::now();
+            let slowest = clients
+                .into_iter()
+                .map(|client| client.join().expect("sweep client"))
+                .max()
+                .unwrap_or_default();
+            (start.elapsed(), slowest)
         });
-        let wall = start.elapsed();
-        sweep.push((conns, (conns * per_client) as f64 / wall.as_secs_f64()));
+        sweep.push((
+            conns,
+            (conns * per_client) as f64 / wall.as_secs_f64(),
+            slowest_connect,
+        ));
     }
 
     // 4. Query engine: cold miss vs warm repeat. The warm repeats are
-    // served upstream of the engine (the reactor's pre-serialized
+    // served upstream of the engine (the server's pre-serialized
     // response cache), so the hit rate is counted as "query answers
     // served without spending a compute" — a before/after delta of the
     // engine's compute counter over the query phase.
@@ -237,8 +259,10 @@ fn main() {
         "disarmed probes cost {probe_overhead_pct:.3}% of the warm path (budget: 5%)"
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!("{{");
     println!("  \"bench\": \"serve\",");
+    println!("  \"cores\": {cores},");
     println!("  \"workers\": 4,");
     println!("  \"cold_first_request_ms\": {:.3},", ms(cold));
     println!("  \"warm_cache_request_ms\": {:.3},", ms(warm));
@@ -253,9 +277,12 @@ fn main() {
     println!("  \"keepalive_pipeline_depth\": {PIPELINE_DEPTH},");
     println!("  \"keepalive_close_ratio\": {keepalive_close_ratio:.2},");
     println!("  \"concurrency_sweep\": [");
-    for (i, (conns, sweep_rps)) in sweep.iter().enumerate() {
+    for (i, (conns, sweep_rps, connect)) in sweep.iter().enumerate() {
         let comma = if i + 1 < sweep.len() { "," } else { "" };
-        println!("    {{ \"connections\": {conns}, \"rps\": {sweep_rps:.0} }}{comma}");
+        println!(
+            "    {{ \"connections\": {conns}, \"rps\": {sweep_rps:.0}, \"connect_ms\": {:.3} }}{comma}",
+            ms(*connect)
+        );
     }
     println!("  ],");
     println!("  \"query_cold_ms\": {:.3},", ms(query_cold));

@@ -25,18 +25,19 @@ pub struct Site {
     pub effect: &'static str,
 }
 
-/// `accelwall serve` probes this once per parsed request, at the top of
-/// the pool's compute handler: a `panic` here dies *on the pool worker
-/// thread* (exercising worker respawn — the reactor closes the client's
-/// connection), an `err` answers the request with a 500, and a `hang`
-/// occupies the worker for the configured duration.
+/// `accelwall serve` probes this once per computed request (every
+/// request that is not a response-cache hit), at the top of the request
+/// handler: a `panic` here unwinds out of the handler (the connection
+/// thread catches it, counts it, and drops the client's connection), an
+/// `err` answers the request with a 500, and a `hang` holds the
+/// connection thread and its compute slot for the configured duration.
 pub const SERVE_REQUEST: &str = "serve-request";
 
-/// The connection reactor probes this once per accepted connection,
-/// before registering it: an `err` here sheds the connection with an
-/// immediate `503` + close (the same shape as the concurrent-connection
-/// cap firing), and a `panic` is contained by the reactor — the
-/// connection is dropped, the event loop survives.
+/// The accepting thread probes this once per accepted connection, at
+/// admission: an `err` here sheds the connection with an immediate
+/// `503` + close (the same shape as the concurrent-connection cap
+/// firing), and a `panic` is contained there — the connection is
+/// dropped, the thread survives and keeps accepting.
 pub const SERVE_CONN: &str = "serve-conn";
 
 /// The query engine probes this at admission, before reserving cost
@@ -54,13 +55,13 @@ pub const QUERY_COMPUTE: &str = "query-compute";
 pub const ROSTER: &[Site] = &[
     Site {
         name: SERVE_REQUEST,
-        location: "crates/server/src/lib.rs::compute_response",
-        effect: "a request handler failing on the worker thread itself",
+        location: "crates/server/src/conn.rs::answer",
+        effect: "a request handler failing on its connection thread",
     },
     Site {
         name: SERVE_CONN,
-        location: "crates/server/src/reactor.rs::Reactor::accept_burst",
-        effect: "connection-level chaos at accept (shed or dropped, reactor survives)",
+        location: "crates/server/src/conn.rs::admit",
+        effect: "connection-level chaos at accept (shed or dropped, the accepting thread survives)",
     },
     Site {
         name: QUERY_CACHE_ADMIT,

@@ -1,427 +1,556 @@
-//! Per-connection state for the reactor: buffered reads, pipelined
-//! sequencing, and vectored write-out.
+//! One blocking thread per connection, and the leader/follower crew
+//! that accepts them (DESIGN.md, "Connection threads").
 //!
-//! A [`Conn`] owns one nonblocking [`TcpStream`] and the pure state
-//! machine around it; all *policy* (routing, fast-path lookups, pool
-//! dispatch, timeouts, metrics) lives in the reactor. The lifecycle:
+//! **Accepting.** Exactly one crew thread holds the *accept role* and
+//! blocks in `accept()`. When a connection arrives it admits it, hands
+//! the role to a parked thread — or spawns one when none is parked —
+//! and serves that connection itself. When the connection closes the
+//! thread parks for up to `idle_timeout`, waiting to take the role
+//! again, and exits if it is not called.
 //!
-//! ```text
-//!            fill()                parse_next()
-//! socket ──► read_buf ──► Request(seq=0,1,2,...) ──► reactor
-//!                                                      │ compute (inline or pool)
-//!            flush()               enqueue(seq)        ▼
-//! socket ◄── write_queue ◄── (in seq order) ◄── parked out-of-order
-//! ```
+//! **Serving.** The thread blocks in `read`, parses every complete
+//! pipelined request off its buffer (at most [`BATCH`] per pass), and
+//! answers them in order on this thread: response-cache hits from their
+//! shared bytes, everything else computed under the compute gate. The
+//! batch goes out in one gathered write before the thread blocks again.
 //!
-//! Responses may complete out of order (a pipelined cache hit behind a
-//! slow compute); `enqueue` parks them until their sequence number is
-//! next, so write-out order always equals request order — the HTTP/1.1
-//! pipelining contract. `flush` gathers several queued responses into
-//! one `write_vectored` call, so a pipelined burst costs ~one syscall,
-//! not two per response.
+//! **Draining.** The first crew thread that sees the shutdown flag
+//! wakes every parked crew thread, shuts the read half of every
+//! connection parked between requests, and exits. Connections in the
+//! middle of a request finish it.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Instant;
+use std::net::{Shutdown, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
+use crate::http::{parse_bytes, ParseOutcome, Request, RequestError, Response, MAX_BODY_BYTES};
 use crate::metrics::Route;
 use crate::respcache::CachedResponse;
+use crate::{lock, route_request, Shared};
 
-/// Outstanding responses (in flight, parked, or queued) one connection
-/// may accumulate before the reactor stops parsing more of its
-/// pipeline; the read buffer then backs TCP flow control up to the
-/// client.
-pub(crate) const PIPELINE_CAP: usize = 64;
+/// Pipelined requests answered per pass before the batch is written.
+const BATCH: usize = 64;
 
-/// Read-buffer high-water mark: past this the reactor stops draining
-/// the socket until the parser catches up.
-pub(crate) const READ_BUF_CAP: usize = 256 * 1024;
+/// Bytes one `read` may add to a connection's buffer.
+const READ_CHUNK: usize = 16 * 1024;
 
-/// Queued responses gathered into a single `write_vectored` call.
-const WRITEV_BATCH: usize = 16;
-
-/// The bytes of one response: rendered fresh, or shared out of the
-/// pre-serialized response cache (zero copies on the warm path).
-pub(crate) enum Payload {
-    /// A response rendered for this request alone.
-    Owned {
-        /// Header block ending in `\r\n\r\n`.
-        head: Vec<u8>,
-        /// Body bytes.
-        body: Vec<u8>,
-    },
-    /// A shared cache entry; `keep_alive` picks the header variant.
-    Cached {
-        /// The shared pre-serialized entry.
-        entry: Arc<CachedResponse>,
-        /// Which precomputed header block to send.
-        keep_alive: bool,
-    },
+/// The leader/follower roster; see the module docs.
+#[derive(Debug, Default)]
+pub(crate) struct Crew {
+    /// Crew threads alive, the accepting one included.
+    live: usize,
+    /// Threads parked waiting for the accept role.
+    parked: usize,
+    /// Accept-role hand-offs posted to parked threads, not yet taken.
+    handoffs: usize,
+    /// Every admitted connection still open.
+    conns: Vec<Arc<Conn>>,
 }
 
-impl Payload {
-    fn head(&self) -> &[u8] {
-        match self {
-            Payload::Owned { head, .. } => head,
-            Payload::Cached { entry, keep_alive } => {
-                if *keep_alive {
-                    &entry.head_keep
-                } else {
-                    &entry.head_close
-                }
-            }
-        }
-    }
-
-    fn body(&self) -> &[u8] {
-        match self {
-            Payload::Owned { body, .. } => body,
-            Payload::Cached { entry, .. } => &entry.body,
-        }
-    }
-}
-
-/// One response staged for write-out.
-pub(crate) struct Outgoing {
-    pub payload: Payload,
-    /// Close the connection once this response is fully flushed.
-    pub close_after: bool,
-    pub route: Route,
-    pub status: u16,
-    /// When the request was parsed; latency is observed at flush.
-    pub started: Instant,
-    head_off: usize,
-    body_off: usize,
-}
-
-impl Outgoing {
-    pub fn new(
-        payload: Payload,
-        close_after: bool,
-        route: Route,
-        status: u16,
-        started: Instant,
-    ) -> Outgoing {
-        Outgoing {
-            payload,
-            close_after,
-            route,
-            status,
-            started,
-            head_off: 0,
-            body_off: 0,
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        (self.payload.head().len() - self.head_off) + (self.payload.body().len() - self.body_off)
-    }
-}
-
-/// Metadata of a fully-flushed response, drained by the reactor for
-/// metrics observation.
-pub(crate) struct Flushed {
-    pub route: Route,
-    pub status: u16,
-    pub started: Instant,
-    pub close_after: bool,
-}
-
-/// What one `fill` pass over the socket did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FillOutcome {
-    /// New bytes landed in the read buffer.
-    Progress,
-    /// Nothing available right now (`WouldBlock`) or buffer at cap.
-    Idle,
-}
-
-/// One client connection's full state; see the module docs.
-pub(crate) struct Conn {
-    pub stream: TcpStream,
-    pub read_buf: Vec<u8>,
-    /// Requests parsed off this connection so far (keep-alive reuse is
-    /// `requests_parsed > 1`).
-    pub requests_parsed: u64,
-    /// Requests handed to the pool and not yet completed.
-    pub in_flight: usize,
-    /// Advanced by any read or write progress; the reactor's idle and
-    /// stall timeouts measure from here.
-    pub last_activity: Instant,
-    /// No further requests will be parsed (close requested or parse
-    /// error); pending responses still flush.
-    pub stop_parsing: bool,
-    /// The sequence number whose response closes the connection
-    /// (`Connection: close` honored in pipeline order).
-    pub close_at: Option<u64>,
-    /// The client half-closed; finish flushing, then close.
-    pub read_closed: bool,
-    /// Fatal socket error or abort: reap without further I/O.
-    pub dead: bool,
-    /// Sequence number assigned to the next parsed request.
-    next_seq: u64,
-    /// Sequence number the write queue admits next.
-    next_write: u64,
-    /// Completed responses waiting for earlier sequence numbers.
-    parked: Vec<(u64, Outgoing)>,
-    /// In-order responses being flushed.
-    write_queue: VecDeque<Outgoing>,
-    /// Fully-flushed response metadata awaiting metrics observation.
-    flushed: Vec<Flushed>,
+/// One admitted connection: its socket, and whether its thread is
+/// blocked in a read between requests (the drain wakes exactly those).
+#[derive(Debug)]
+struct Conn {
+    stream: TcpStream,
+    parked: Mutex<bool>,
 }
 
 impl Conn {
-    /// Adopts an accepted stream: nonblocking (the reactor never waits
-    /// on one socket) and `TCP_NODELAY` (keep-alive round trips must
-    /// not sit out a Nagle delay).
-    pub fn new(stream: TcpStream, now: Instant) -> std::io::Result<Conn> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        Ok(Conn {
-            stream,
-            read_buf: Vec::new(),
-            requests_parsed: 0,
-            in_flight: 0,
-            last_activity: now,
-            stop_parsing: false,
-            close_at: None,
-            read_closed: false,
-            dead: false,
-            next_seq: 0,
-            next_write: 0,
-            parked: Vec::new(),
-            write_queue: VecDeque::new(),
-            flushed: Vec::new(),
-        })
-    }
-
-    /// Responses not yet fully flushed (pool, parked, or queued).
-    pub fn outstanding(&self) -> usize {
-        self.in_flight + self.parked.len() + self.write_queue.len()
-    }
-
-    /// Whether nothing is buffered or pending: the connection is parked
-    /// between requests (the idle-timeout state).
-    pub fn is_idle(&self) -> bool {
-        self.outstanding() == 0 && self.read_buf.is_empty()
-    }
-
-    /// Reserves the next request sequence number (also used for
-    /// synthesized error responses, which consume a slot in the
-    /// pipeline order like any request).
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Drains the socket into the read buffer until `WouldBlock`, EOF,
-    /// or the buffer cap.
-    pub fn fill(&mut self, scratch: &mut [u8], now: Instant) -> FillOutcome {
-        let mut outcome = FillOutcome::Idle;
-        while !self.read_closed && !self.dead && self.read_buf.len() < READ_BUF_CAP {
-            match self.stream.read(scratch) {
-                Ok(0) => self.read_closed = true,
-                Ok(n) => {
-                    self.read_buf.extend_from_slice(&scratch[..n]);
-                    self.last_activity = now;
-                    outcome = FillOutcome::Progress;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => self.dead = true,
-            }
+    /// Marks the connection parked for a read on an empty buffer —
+    /// unless the server is draining, which closes it instead.
+    fn park(&self, shutdown: &AtomicBool) -> bool {
+        let mut parked = lock(&self.parked);
+        // Checked under the lock the drain takes, so either the drain
+        // sees this connection parked or this load sees the flag.
+        if shutdown.load(Ordering::Acquire) {
+            return false;
         }
-        outcome
+        *parked = true;
+        true
     }
 
-    /// Stages one completed response. If `seq` is the next in pipeline
-    /// order it enters the write queue (pulling any parked successors
-    /// in behind it); otherwise it parks.
-    pub fn enqueue(&mut self, seq: u64, outgoing: Outgoing) {
-        if seq == self.next_write {
-            self.write_queue.push_back(outgoing);
-            self.next_write += 1;
-            while let Some(i) = self.parked.iter().position(|(s, _)| *s == self.next_write) {
-                let (_, next) = self.parked.swap_remove(i);
-                self.write_queue.push_back(next);
-                self.next_write += 1;
-            }
-        } else {
-            self.parked.push((seq, outgoing));
+    fn unpark(&self) {
+        *lock(&self.parked) = false;
+    }
+
+    /// Ends the blocking read of a connection parked between requests:
+    /// the read returns EOF and the thread closes the connection.
+    fn wake_if_parked(&self) {
+        if *lock(&self.parked) {
+            let _ = self.stream.shutdown(Shutdown::Read);
         }
-    }
-
-    /// Flushes the write queue with gathered vectored writes until it
-    /// empties or the socket stops accepting. Returns whether any bytes
-    /// moved; fully-written responses land in the [`Flushed`] drain.
-    pub fn flush(&mut self, now: Instant) -> bool {
-        let mut progress = false;
-        while !self.write_queue.is_empty() && !self.dead {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(8);
-            for out in self.write_queue.iter().take(WRITEV_BATCH) {
-                let head = &out.payload.head()[out.head_off..];
-                if !head.is_empty() {
-                    slices.push(IoSlice::new(head));
-                }
-                let body = &out.payload.body()[out.body_off..];
-                if !body.is_empty() {
-                    slices.push(IoSlice::new(body));
-                }
-            }
-            let written = if slices.is_empty() {
-                0 // zero-remaining fronts: just pop them below
-            } else {
-                match self.stream.write_vectored(&slices) {
-                    Ok(0) => {
-                        self.dead = true;
-                        break;
-                    }
-                    Ok(n) => n,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.dead = true;
-                        break;
-                    }
-                }
-            };
-            if written > 0 {
-                progress = true;
-                self.last_activity = now;
-            }
-            self.advance(written);
-        }
-        progress
-    }
-
-    /// Distributes `n` written bytes across the queue front, retiring
-    /// fully-flushed responses into the `Flushed` drain.
-    fn advance(&mut self, mut n: usize) {
-        while let Some(front) = self.write_queue.front_mut() {
-            let head_left = front.payload.head().len() - front.head_off;
-            let take = head_left.min(n);
-            front.head_off += take;
-            n -= take;
-            let body_left = front.payload.body().len() - front.body_off;
-            let take = body_left.min(n);
-            front.body_off += take;
-            n -= take;
-            if front.remaining() > 0 {
-                break;
-            }
-            // lint:allow(no-panic-paths): front_mut above proved the queue is non-empty
-            let done = self.write_queue.pop_front().unwrap();
-            self.flushed.push(Flushed {
-                route: done.route,
-                status: done.status,
-                started: done.started,
-                close_after: done.close_after,
-            });
-        }
-    }
-
-    /// Drains the fully-flushed response metadata (for metrics, and for
-    /// the reactor's close-after-flush decision).
-    pub fn take_flushed(&mut self) -> Vec<Flushed> {
-        std::mem::take(&mut self.flushed)
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::TcpListener;
-
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
+/// Runs the server on the calling thread: it takes the accept role
+/// first, and returns once the drain has ended every crew thread.
+pub(crate) fn run(shared: &Arc<Shared>) {
+    lock(&shared.crew).live += 1;
+    lead(shared);
+    let mut crew = lock(&shared.crew);
+    while crew.live > 0 {
+        crew = shared
+            .exited
+            .wait(crew)
+            .unwrap_or_else(PoisonError::into_inner);
     }
+}
 
-    fn owned(tag: &str, close_after: bool) -> Outgoing {
-        Outgoing::new(
-            Payload::Owned {
-                head: format!("H{tag}|").into_bytes(),
-                body: format!("B{tag};").into_bytes(),
-            },
-            close_after,
-            Route::Other,
-            200,
-            Instant::now(),
-        )
-    }
-
-    #[test]
-    fn out_of_order_completions_flush_in_request_order() {
-        let (client, server) = pair();
-        let mut conn = Conn::new(server, Instant::now()).unwrap();
-        let s0 = conn.reserve_seq();
-        let s1 = conn.reserve_seq();
-        let s2 = conn.reserve_seq();
-        // Completions arrive 2, 0, 1: nothing can flush until 0 lands,
-        // and the wire order must still be 0, 1, 2.
-        conn.enqueue(s2, owned("2", false));
-        assert!(!conn.flush(Instant::now()), "seq 2 must wait for 0 and 1");
-        conn.enqueue(s0, owned("0", false));
-        conn.enqueue(s1, owned("1", false));
-        assert!(conn.flush(Instant::now()));
-        assert_eq!(conn.take_flushed().len(), 3);
-        drop(conn);
-        let mut client = client;
-        let mut got = String::new();
-        client.read_to_string(&mut got).unwrap();
-        assert_eq!(got, "H0|B0;H1|B1;H2|B2;");
-    }
-
-    #[test]
-    fn fill_buffers_bytes_and_sees_eof() {
-        let (mut client, server) = pair();
-        let mut conn = Conn::new(server, Instant::now()).unwrap();
-        let mut scratch = [0u8; 1024];
-        assert_eq!(
-            conn.fill(&mut scratch, Instant::now()),
-            FillOutcome::Idle,
-            "nothing sent yet"
-        );
-        client.write_all(b"GET /").unwrap();
-        // Nonblocking read races the loopback; poll briefly.
-        let mut got = FillOutcome::Idle;
-        for _ in 0..200 {
-            got = conn.fill(&mut scratch, Instant::now());
-            if got == FillOutcome::Progress {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+/// Runs one crew thread from the moment it holds the accept role until
+/// it exits: accept, hand the role on, serve, park, repeat.
+fn lead(shared: &Arc<Shared>) {
+    let _leaving = Leaving(shared);
+    loop {
+        // Acquire pairs with the handle's AcqRel swap: the drain
+        // happens-after whatever the stopper did first.
+        if shared.shutdown.load(Ordering::Acquire) {
+            shared.wake_for_drain();
+            return;
         }
-        assert_eq!(got, FillOutcome::Progress);
-        assert_eq!(conn.read_buf, b"GET /");
-        drop(client);
-        for _ in 0..200 {
-            conn.fill(&mut scratch, Instant::now());
-            if conn.read_closed {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        let Ok((stream, _)) = shared.listener.accept() else {
+            // Transient (say, out of descriptors): back off briefly
+            // rather than spin on the error.
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        };
+        if shared.shutdown.load(Ordering::Acquire) {
+            continue; // the drain's wake-up connect, or a late client
         }
-        assert!(conn.read_closed, "client FIN must be observed");
-        assert!(!conn.dead, "EOF is not an error");
+        let admitted = admit(shared);
+        let handed_off = shared.hand_off();
+        match admitted {
+            Ok(()) => serve_admitted(shared, stream),
+            Err(Some(response)) => shed(stream, &response),
+            Err(None) => drop(stream), // contained probe panic
+        }
+        if handed_off && !shared.await_role() {
+            return;
+        }
+    }
+}
+
+/// Counts a crew thread out when it exits, and wakes `run` when none
+/// remain.
+struct Leaving<'a>(&'a Shared);
+
+impl Drop for Leaving<'_> {
+    fn drop(&mut self) {
+        let mut crew = lock(&self.0.crew);
+        crew.live -= 1;
+        if crew.live == 0 {
+            self.0.exited.notify_all();
+        }
+    }
+}
+
+impl Shared {
+    /// Passes the accept role on: to a parked thread, else to a new one.
+    /// `false` when no thread could be spawned; the caller keeps the
+    /// role then.
+    fn hand_off(self: &Arc<Shared>) -> bool {
+        let mut crew = lock(&self.crew);
+        if crew.parked > crew.handoffs {
+            crew.handoffs += 1;
+            drop(crew);
+            self.role.notify_one();
+            return true;
+        }
+        // No join handle is kept: `live` counts the thread in, its
+        // `Leaving` guard counts it out, and `run` waits for zero.
+        crew.live += 1;
+        drop(crew);
+        let shared = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name("accelwall-conn".to_string())
+            .spawn(move || lead(&shared));
+        if spawned.is_err() {
+            lock(&self.crew).live -= 1;
+        }
+        spawned.is_ok()
     }
 
-    #[test]
-    fn close_after_is_reported_through_the_flush_drain() {
-        let (_client, server) = pair();
-        let mut conn = Conn::new(server, Instant::now()).unwrap();
-        let seq = conn.reserve_seq();
-        conn.enqueue(seq, owned("x", true));
-        assert!(conn.flush(Instant::now()));
-        let flushed = conn.take_flushed();
-        assert_eq!(flushed.len(), 1);
-        assert!(flushed[0].close_after);
-        assert!(conn.is_idle());
+    /// Parks this thread for up to `idle_timeout`, waiting to be handed
+    /// the accept role. `false` means exit: it timed out, or the server
+    /// is draining.
+    fn await_role(&self) -> bool {
+        let deadline = Instant::now() + self.config.idle_timeout;
+        let mut crew = lock(&self.crew);
+        crew.parked += 1;
+        let called = loop {
+            // A posted hand-off is taken even while draining: the new
+            // leader then sees the flag and runs the drain wake-up.
+            if crew.handoffs > 0 {
+                crew.handoffs -= 1;
+                break true;
+            }
+            // Checked under the crew lock, which the drain takes before
+            // its wake-up, so the wake-up cannot slip past this wait.
+            let now = Instant::now();
+            if self.shutdown.load(Ordering::Acquire) || now >= deadline {
+                break false;
+            }
+            crew = self
+                .role
+                .wait_timeout(crew, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
+        crew.parked -= 1;
+        called
     }
+
+    /// Begins the drain: every parked crew thread wakes and exits, and
+    /// every connection parked between requests reads EOF and closes.
+    fn wake_for_drain(&self) {
+        let crew = lock(&self.crew);
+        for conn in &crew.conns {
+            conn.wake_if_parked();
+        }
+        drop(crew);
+        self.role.notify_all();
+    }
+}
+
+/// Admission, on the accepting thread: the `serve-conn` fault probe,
+/// then the connection cap. `Err(Some(_))` sheds the connection with
+/// that response; `Err(None)` drops it.
+fn admit(shared: &Shared) -> Result<(), Option<Response>> {
+    // The `serve-conn` chaos site: an `err` sheds the connection with a
+    // 503 + close, a `panic` is contained right here — the connection
+    // drops but the thread survives.
+    match catch_unwind(|| accelwall_faults::probe(accelwall_faults::sites::SERVE_CONN)) {
+        Ok(Ok(())) => {}
+        Ok(Err(fault)) => return Err(Some(Response::text(503, format!("{fault}\n")))),
+        Err(_) => return Err(None),
+    }
+    if shared
+        .metrics
+        .open_connection(shared.config.max_connections)
+    {
+        return Ok(());
+    }
+    let over_cap = "connection limit reached, retry later\n";
+    Err(Some(Response::text(503, over_cap)))
+}
+
+/// Answers a shed connection with a close-mode response, bounded by
+/// short I/O timeouts, and drops it.
+fn shed(mut stream: TcpStream, response: &Response) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    if response.write_to(&mut stream).is_err() {
+        return;
+    }
+    // Half-close, then drain whatever the client already sent: dropping
+    // a socket with unread bytes in its receive buffer turns the close
+    // into an RST, which can discard the 503 still in flight to the
+    // client. The drain is bounded by the read timeout and a hard
+    // deadline, so a misbehaving client cannot pin this thread.
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + Duration::from_millis(250);
+    let mut sink = [0u8; 1024];
+    loop {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) if Instant::now() >= deadline => break,
+            Ok(_) => {}
+        }
+    }
+}
+
+/// Serves one admitted connection to its close, registered with the
+/// crew so a drain can wake it.
+fn serve_admitted(shared: &Shared, stream: TcpStream) {
+    let conn = Arc::new(Conn {
+        stream,
+        parked: Mutex::new(false),
+    });
+    lock(&shared.crew).conns.push(Arc::clone(&conn));
+    serve(shared, &conn);
+    let mut crew = lock(&shared.crew);
+    if let Some(i) = crew.conns.iter().position(|c| Arc::ptr_eq(c, &conn)) {
+        crew.conns.swap_remove(i);
+    }
+    drop(crew);
+    // Count the close before the socket closes (when `conn` drops), so
+    // a client that has seen EOF never scrapes a stale gauge.
+    shared.metrics.record_connection_closed();
+}
+
+/// How a parse pass over the buffer ended.
+enum Pass {
+    /// The buffer holds at most a partial request: read more.
+    Partial,
+    /// The batch is full: write it, then parse on without reading.
+    Full,
+    /// Write the batch (if any), then close the connection.
+    Close,
+}
+
+/// One response staged for the batch write.
+struct Staged {
+    reply: Reply,
+    route: Route,
+    status: u16,
+    /// When the request was parsed; latency is observed after the write.
+    started: Instant,
+}
+
+/// The bytes of one response: its head and body rendered for this
+/// request, or a shared response-cache entry and whether to send its
+/// keep-alive head (no copy on the warm path).
+enum Reply {
+    Owned(Vec<u8>, Vec<u8>),
+    Cached(Arc<CachedResponse>, bool),
+}
+
+impl Staged {
+    fn owned((route, response): (Route, Response), keep_alive: bool, started: Instant) -> Staged {
+        let head = response.head_bytes(keep_alive);
+        let (status, reply) = (response.status, Reply::Owned(head, response.body));
+        Staged {
+            reply,
+            route,
+            status,
+            started,
+        }
+    }
+
+    fn parts(&self) -> [&[u8]; 2] {
+        match &self.reply {
+            Reply::Owned(head, body) => [head, body],
+            Reply::Cached(entry, true) => [&entry.head_keep, &entry.body],
+            Reply::Cached(entry, false) => [&entry.head_close, &entry.body],
+        }
+    }
+}
+
+/// The connection loop; see the module docs.
+fn serve(shared: &Shared, conn: &Conn) {
+    let config = &shared.config;
+    let mut stream = &conn.stream;
+    // `TCP_NODELAY`: keep-alive round trips must not sit out a Nagle
+    // delay.
+    if stream.set_nodelay(true).is_err()
+        || stream.set_write_timeout(Some(config.io_timeout)).is_err()
+    {
+        return;
+    }
+    let mut buf = Vec::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut batch = Vec::new();
+    let mut served = 0u64;
+    let mut timeout = None;
+    loop {
+        let pass = answer_pipeline(shared, &mut buf, &mut batch, &mut served);
+        if !batch.is_empty() {
+            if write_batch(stream, &batch).is_err() {
+                return;
+            }
+            let done = Instant::now();
+            for staged in batch.drain(..) {
+                shared.metrics.observe(
+                    staged.route,
+                    staged.status,
+                    done.duration_since(staged.started),
+                );
+            }
+        }
+        match pass {
+            Pass::Close => return,
+            Pass::Full => continue,
+            Pass::Partial => {}
+        }
+        let idle = buf.is_empty();
+        if idle && !conn.park(&shared.shutdown) {
+            return;
+        }
+        let wait = if idle {
+            config.idle_timeout
+        } else {
+            config.io_timeout // mid-request stall (slowloris) bound
+        };
+        if timeout != Some(wait) {
+            if stream.set_read_timeout(Some(wait)).is_err() {
+                return;
+            }
+            timeout = Some(wait);
+        }
+        let read = stream.read(&mut chunk);
+        if idle {
+            conn.unpark();
+        }
+        match read {
+            Ok(0) => return,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                shared.metrics.record_idle_timeout();
+                return;
+            }
+            Err(_) => return,
+        }
+    }
+}
+
+/// Parses and answers up to [`BATCH`] complete requests off the front
+/// of `buf`, staging their responses in request order.
+fn answer_pipeline(
+    shared: &Shared,
+    buf: &mut Vec<u8>,
+    batch: &mut Vec<Staged>,
+    served: &mut u64,
+) -> Pass {
+    let metrics = &shared.metrics;
+    let mut offset = 0;
+    let pass = loop {
+        if batch.len() == BATCH {
+            break Pass::Full;
+        }
+        match parse_bytes(&buf[offset..]) {
+            Ok(ParseOutcome::Partial { .. }) => break Pass::Partial,
+            Ok(ParseOutcome::Complete { request, consumed }) => {
+                offset += consumed;
+                *served += 1;
+                if *served > 1 {
+                    metrics.record_keepalive_reuse();
+                }
+                if !batch.is_empty() {
+                    // An earlier response on this connection is unwritten.
+                    metrics.record_pipelined();
+                }
+                let Some(staged) = answer(shared, &request) else {
+                    // A handler panicked: drop the connection unanswered.
+                    batch.clear();
+                    break Pass::Close;
+                };
+                batch.push(staged);
+                if !request.keep_alive {
+                    break Pass::Close;
+                }
+            }
+            Err(error) => {
+                // A malformed pipeline has no trustworthy framing:
+                // answer the precise 4xx/5xx in order, then close.
+                batch.push(Staged::owned(error_response(&error), false, Instant::now()));
+                break Pass::Close;
+            }
+        }
+    };
+    buf.drain(..offset);
+    pass
+}
+
+/// Answers one request on this thread: a response-cache hit from its
+/// shared bytes, anything else computed under the gate. `None` when the
+/// handler panicked; the connection is then dropped.
+fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
+    let started = Instant::now();
+    let metrics = &shared.metrics;
+    // While a fault plan is armed the response cache is bypassed, so
+    // every request reaches the `serve-request` probe.
+    let key = if accelwall_faults::is_armed() {
+        None
+    } else {
+        cache_key(request)
+    };
+    if let Some(entry) = key.as_deref().and_then(|key| shared.respcache.get(key)) {
+        let (route, status) = (entry.route, entry.status);
+        let reply = Reply::Cached(entry, request.keep_alive);
+        return Some(Staged {
+            reply,
+            route,
+            status,
+            started,
+        });
+    }
+    let Some(_permit) = shared.gate.enter() else {
+        // Backpressure: shed this request in pipeline order and keep
+        // the connection.
+        metrics.record_rejected();
+        let response = Response::text(503, "server saturated, retry later\n");
+        return Some(Staged::owned(
+            (Route::Other, response),
+            request.keep_alive,
+            started,
+        ));
+    };
+    let computed = catch_unwind(AssertUnwindSafe(|| {
+        let _in_flight = metrics.track_in_flight();
+        // The `serve-request` fault site: a `panic` rule unwinds out of
+        // this handler (the connection drops), an `err` rule answers
+        // 500, a `hang` rule holds this thread and its compute slot.
+        let (route, response) =
+            match accelwall_faults::probe(accelwall_faults::sites::SERVE_REQUEST) {
+                Err(fault) => (Route::Other, Response::text(500, format!("{fault}\n"))),
+                Ok(()) => route_request(request, shared),
+            };
+        // Populate the warm path: only `200`s for cacheable shapes.
+        if let (Some(key), 200) = (&key, response.status) {
+            shared.respcache.insert(key, route, &response);
+        }
+        (route, response)
+    }));
+    if computed.is_err() {
+        metrics.record_worker_panic();
+    }
+    computed
+        .ok()
+        .map(|reply| Staged::owned(reply, request.keep_alive, started))
+}
+
+/// The response-cache key for a request, when its shape is cacheable:
+/// `GET` on the immutable-content routes. `/healthz`, `/metrics`, and
+/// `/shutdown` change per request and return `None`.
+fn cache_key(request: &Request) -> Option<String> {
+    if request.method != "GET" || !request.body.is_empty() {
+        return None;
+    }
+    match request.path.as_str() {
+        "/experiments" => Some("roster".to_string()),
+        "/query/schema" => Some("schema".to_string()),
+        "/query" => Some(format!("query?{}", request.query)),
+        path => path.strip_prefix("/experiments/").map(|id| {
+            let variant = if request.wants_plain_text() { 't' } else { 'j' };
+            format!("exp:{id}:{variant}")
+        }),
+    }
+}
+
+/// Writes every staged response with gathered writes.
+fn write_batch(mut stream: &TcpStream, batch: &[Staged]) -> std::io::Result<()> {
+    let mut slices: Vec<IoSlice<'_>> = batch
+        .iter()
+        .flat_map(Staged::parts)
+        .filter(|part| !part.is_empty())
+        .map(IoSlice::new)
+        .collect();
+    let mut slices = &mut slices[..];
+    while !slices.is_empty() {
+        match stream.write_vectored(slices) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Maps a parse failure onto its (route, response) pair.
+fn error_response(error: &RequestError) -> (Route, Response) {
+    let (route, status, body) = match error {
+        RequestError::TooLarge => (Route::Other, 431, "request head too large".to_string()),
+        RequestError::BodyTooLarge => (
+            Route::Query,
+            413,
+            format!("request body exceeds {MAX_BODY_BYTES} bytes"),
+        ),
+        RequestError::Malformed(what) => (Route::Other, 400, format!("malformed request: {what}")),
+        RequestError::Unsupported(what) => (Route::Other, 501, format!("not implemented: {what}")),
+    };
+    (route, Response::text(status, body + "\n"))
 }

@@ -4,9 +4,8 @@
 //! incremental: [`parse_bytes`] inspects a byte buffer and either yields
 //! one complete request (plus how many bytes it consumed, so pipelined
 //! requests behind it stay in the buffer) or reports that more bytes are
-//! needed. The reactor feeds it from nonblocking sockets;
-//! [`read_request`] wraps the same parser in a blocking read loop for
-//! plain `Read` streams (tests, tools).
+//! needed. Each connection thread feeds it the bytes it has read so
+//! far.
 //!
 //! Requests are HTTP/1.1 keep-alive by default: a connection stays open
 //! after a response unless the request was HTTP/1.0 (without
@@ -19,9 +18,13 @@
 //! Strict size limits bound memory: anything that fails them gets a
 //! precise 4xx rather than a hang or a panic — the parser never indexes
 //! unchecked and never allocates proportionally to attacker input
-//! beyond the caps.
+//! beyond the caps. Framing the parser cannot follow is refused rather
+//! than guessed at (RFC 9112 §6.1, §6.3): any `Transfer-Encoding`
+//! answers `501`, and differing `Content-Length` values answer `400`;
+//! either way the connection then closes, so a body can never be
+//! mistaken for the next pipelined request.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Upper bound on the request head (request line + all headers).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -77,8 +80,9 @@ pub enum RequestError {
     BodyTooLarge,
     /// The bytes were not a well-formed HTTP/1.x request.
     Malformed(&'static str),
-    /// The socket failed or timed out before a full request arrived.
-    Io(std::io::Error),
+    /// The request uses a feature this server does not implement (501
+    /// on the wire).
+    Unsupported(&'static str),
 }
 
 /// What [`parse_bytes`] found at the front of the buffer.
@@ -111,8 +115,8 @@ pub enum ParseOutcome {
 ///
 /// # Errors
 ///
-/// See [`RequestError`]; the caller maps the variants onto 431/413/400
-/// responses. [`RequestError::Io`] is never returned from here.
+/// See [`RequestError`]; the caller maps the variants onto
+/// 431/413/400/501 responses.
 pub fn parse_bytes(buf: &[u8]) -> Result<ParseOutcome, RequestError> {
     let Some(head_end) = find_head_end(buf) else {
         if buf.len() > MAX_HEAD_BYTES {
@@ -179,8 +183,19 @@ pub fn parse_bytes(buf: &[u8]) -> Result<ParseOutcome, RequestError> {
             request.keep_alive = true;
         }
     }
+    if request.header("transfer-encoding").is_some() {
+        return Err(RequestError::Unsupported("Transfer-Encoding"));
+    }
     let mut consumed = head_end;
-    if let Some(value) = request.header("content-length") {
+    let mut lengths = request
+        .headers
+        .iter()
+        .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .map(|(_, value)| value.as_str());
+    if let Some(value) = lengths.next() {
+        if lengths.any(|other| other != value) {
+            return Err(RequestError::Malformed("conflicting Content-Length"));
+        }
         let length: usize = value
             .parse()
             .map_err(|_| RequestError::Malformed("bad Content-Length"))?;
@@ -222,39 +237,6 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
         i += 1;
     }
     None
-}
-
-/// Reads and parses one request (head and, when `Content-Length` is
-/// present, body) from a blocking `stream`, looping [`parse_bytes`]
-/// over accumulated bytes.
-///
-/// # Errors
-///
-/// See [`RequestError`]; the caller maps the variants onto 431/413/400
-/// responses or drops the connection on I/O failure.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, RequestError> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4 * 1024];
-    loop {
-        let head_done = match parse_bytes(&buf)? {
-            ParseOutcome::Complete { request, .. } => return Ok(request),
-            ParseOutcome::Partial { head_done } => head_done,
-        };
-        let n = stream.read(&mut chunk).map_err(RequestError::Io)?;
-        if n == 0 {
-            // EOF mid-head means the client never sent a request worth
-            // answering; EOF mid-body is an I/O-level truncation.
-            return Err(if head_done {
-                RequestError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ))
-            } else {
-                RequestError::Malformed("connection closed mid-head")
-            });
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
 }
 
 /// One response; the persistence mode is chosen at serialization time.
@@ -365,6 +347,7 @@ pub fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Unknown",
@@ -375,8 +358,13 @@ pub fn reason(status: u16) -> &'static str {
 mod tests {
     use super::*;
 
+    /// Parses `raw` as one whole request; incomplete input is a test
+    /// bug (those cases assert [`ParseOutcome::Partial`] directly).
     fn parse(raw: &str) -> Result<Request, RequestError> {
-        read_request(&mut raw.as_bytes())
+        match parse_bytes(raw.as_bytes())? {
+            ParseOutcome::Complete { request, .. } => Ok(request),
+            ParseOutcome::Partial { .. } => panic!("{raw:?} is incomplete"),
+        }
     }
 
     #[test]
@@ -421,9 +409,35 @@ mod tests {
         // A non-numeric length is malformed, not a hang.
         let bad = "POST /query HTTP/1.1\r\nContent-Length: ten\r\n\r\n";
         assert!(matches!(parse(bad), Err(RequestError::Malformed(_))));
-        // A truncated body surfaces as I/O, not a short read.
-        let short = "POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(matches!(parse(short), Err(RequestError::Io(_))));
+        // A truncated body waits for more bytes, not a short read.
+        let short = b"POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        assert!(matches!(
+            parse_bytes(short),
+            Ok(ParseOutcome::Partial { head_done: true })
+        ));
+    }
+
+    #[test]
+    fn refuses_framing_it_cannot_follow() {
+        // Any transfer coding: 501, whatever the coding or its case.
+        for raw in [
+            "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\n{}{}\r\n0\r\n\r\n",
+            "POST /query HTTP/1.1\r\ntransfer-encoding: gzip, chunked\r\nContent-Length: 2\r\n\r\n{}",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(RequestError::Unsupported(_))),
+                "{raw:?} should be refused"
+            );
+        }
+        assert_eq!(reason(501), "Not Implemented");
+        // Differing lengths are malformed; a repeated equal one is not.
+        let conflicting = "POST /query HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 19\r\n\r\n{\"workload\": \"fft\"}";
+        assert!(matches!(
+            parse(conflicting),
+            Err(RequestError::Malformed("conflicting Content-Length"))
+        ));
+        let repeated = "POST /query HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\n{}";
+        assert_eq!(parse(repeated).unwrap().body, b"{}");
     }
 
     #[test]
@@ -435,7 +449,6 @@ mod tests {
     #[test]
     fn rejects_malformed_heads() {
         for raw in [
-            "",                              // empty
             "GET\r\n\r\n",                   // no target
             "GET /x\r\n\r\n",                // no version
             "get /x HTTP/1.1\r\n\r\n",       // lower-case method
@@ -444,12 +457,18 @@ mod tests {
             "GET /x HTTP/1.1 extra\r\n\r\n", // trailing junk
             "GET /x HTTP/1.1\r\nno-colon\r\n\r\n",
             "GET /x HTTP/1.1\r\n: empty-name\r\n\r\n",
-            "GET /x HTTP/1.1\r\nHost", // closed mid-head
         ] {
             assert!(
                 matches!(parse(raw), Err(RequestError::Malformed(_))),
                 "{raw:?} should be malformed"
             );
+        }
+        // Nothing yet, or a head cut short, waits for more bytes.
+        for raw in [&b""[..], b"GET /x HTTP/1.1\r\nHost"] {
+            assert!(matches!(
+                parse_bytes(raw),
+                Ok(ParseOutcome::Partial { head_done: false })
+            ));
         }
     }
 

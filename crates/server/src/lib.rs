@@ -11,29 +11,29 @@
 //! process run" to "per server lifetime", and `/metrics` exposes the
 //! counters that prove it.
 //!
-//! Everything is `std`-only, split into two tiers (see DESIGN.md,
-//! "Connection reactor"):
+//! Everything is `std`-only, one blocking thread per connection (see
+//! DESIGN.md, "Connection threads"):
 //!
-//! * an **I/O tier** — one nonblocking event-loop thread (the reactor)
-//!   owns the listener and every client socket: it accepts, buffers
-//!   partial reads, parses pipelined HTTP/1.1 incrementally, keeps
-//!   connections alive by default (closing only on error,
-//!   `Connection: close`, or the idle timeout), answers warm `GET`s
-//!   straight from a pre-serialized [`respcache::ResponseCache`], and
-//!   writes responses out in request order with gathered vectored
-//!   writes;
-//! * a **compute tier** — the fixed-size worker pool
-//!   ([`pool::ThreadPool`]) over a bounded `mpsc` channel, fed one
-//!   parsed request at a time. The bounded backlog doubles as the
-//!   backpressure cap: a saturated pool answers that request `503` in
+//! * a **leader/follower crew** accepts: one thread blocks in
+//!   `accept()`, hands that role to a parked thread (or a new one) when
+//!   a connection arrives, and serves the connection itself;
+//! * each **connection thread** blocks in `read`, parses pipelined
+//!   HTTP/1.1 off its buffer, and answers in request order on that same
+//!   thread — warm `GET`s straight from a pre-serialized
+//!   [`respcache::ResponseCache`], everything else computed there too.
+//!   Connections are keep-alive by default (closing only on error,
+//!   `Connection: close`, or the idle timeout);
+//! * a **compute gate** bounds the computing: at most
+//!   [`ServerConfig::workers`] requests compute at once and
+//!   [`ServerConfig::backlog`] more wait; the rest answer `503` in
 //!   pipeline order instead of queueing unboundedly, and a hard
 //!   concurrent-connection cap ([`ServerConfig::max_connections`])
 //!   sheds whole connections the same way.
 //!
 //! Shutdown is a drain: `POST /shutdown` (or [`ServerHandle::shutdown`])
-//! stops accepting, requests already buffered or in flight finish, each
-//! connection closes as it goes quiet, then the listener closes and
-//! [`Server::run`] returns.
+//! stops accepting, connections idle between requests close at once,
+//! requests already under way finish, and [`Server::run`] returns once
+//! the last connection has closed.
 //!
 //! # Routes
 //!
@@ -59,8 +59,8 @@
 //!
 //! * a panicking experiment is caught inside the cache and answers `500`
 //!   with a typed `"kind": "panic"` JSON body — and should a panic ever
-//!   reach a pool worker anyway, the worker respawns and
-//!   `worker_panics_total` counts it;
+//!   escape a request handler anyway, the connection thread catches it,
+//!   drops that connection, and `worker_panics_total` counts it;
 //! * a transient failure answers `500` with a `Retry-After` hint; the
 //!   cache retries it (bounded attempts, exponential backoff) on later
 //!   requests instead of memoizing the error forever;
@@ -71,28 +71,25 @@
 //!
 //! Every path above can be provoked deterministically by arming
 //! `ACCELWALL_FAULTS` (see the `accelwall-faults` crate); the
-//! `serve-request` static site fires per parsed request at the top of
-//! the pool's compute handler, and `serve-conn` fires per accepted
-//! connection inside the reactor. While a fault plan is armed the
-//! reactor bypasses its inline fast path entirely, so every request
-//! flows through the pool and its probes — chaos semantics are
-//! identical to the old thread-per-connection front end.
+//! `serve-request` static site fires per computed request at the top of
+//! the handler, and `serve-conn` fires per accepted connection at
+//! admission. While a fault plan is armed the response cache is
+//! bypassed entirely, so every request reaches the handler and its
+//! probes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod http;
 pub mod metrics;
-pub mod pool;
 pub mod respcache;
 
 mod conn;
-mod reactor;
+mod gate;
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use accelerator_wall::artifacts::ArtifactCache;
@@ -101,10 +98,10 @@ use accelerator_wall::json::Value;
 use accelwall_query::spec::{pairs_from_json, pairs_from_query};
 use accelwall_query::{QueryEngine, QueryError, QuerySpec};
 
+use conn::Crew;
+use gate::Gate;
 use http::{Request, Response};
 use metrics::{Metrics, Route};
-use pool::ThreadPool;
-use reactor::{Completion, ComputeJob, Reactor, ReactorLimits};
 use respcache::ResponseCache;
 
 /// Tunables for one [`Server`].
@@ -112,12 +109,13 @@ use respcache::ResponseCache;
 pub struct ServerConfig {
     /// Bind address, `HOST:PORT`. Port 0 picks a free port.
     pub addr: String,
-    /// Worker threads handling requests.
+    /// Requests computed at once; response-cache hits do not count.
     pub workers: usize,
-    /// Connections allowed to queue beyond the busy workers before the
-    /// acceptor sheds load with `503`.
+    /// Requests allowed to wait for a compute slot beyond the busy
+    /// ones; the rest are shed with `503`.
     pub backlog: usize,
-    /// Per-socket read/write timeout (bounds slow clients).
+    /// Per-socket write timeout, and the read timeout while a request
+    /// is partly received (bounds slow clients).
     pub io_timeout: Duration,
     /// How long a `GET /experiments/{id}` request waits for a compute
     /// before answering `504` (the compute itself keeps running and can
@@ -128,11 +126,12 @@ pub struct ServerConfig {
     /// Hard cap on concurrently open connections; excess accepts are
     /// shed with an immediate `503` + close.
     pub max_connections: usize,
-    /// How long a connection may sit idle between requests before the
-    /// reactor closes it (keep-alive harvest; slowloris protection).
+    /// How long a connection may sit idle between requests before its
+    /// thread closes it (keep-alive harvest; slowloris protection), and
+    /// how long an idle thread waits to accept again before exiting.
     pub idle_timeout: Duration,
-    /// Byte cap on the pre-serialized response cache (the reactor's
-    /// inline fast path for warm `GET`s).
+    /// Byte cap on the pre-serialized response cache (the warm path for
+    /// `GET`s).
     pub response_cache_bytes: usize,
 }
 
@@ -155,13 +154,37 @@ impl Default for ServerConfig {
 /// A bound (but not yet running) artifact server.
 #[derive(Debug)]
 pub struct Server {
+    shared: Arc<Shared>,
+}
+
+/// Everything the serving threads share.
+#[derive(Debug)]
+struct Shared {
     listener: TcpListener,
-    local_addr: SocketAddr,
+    addr: SocketAddr,
     config: ServerConfig,
     cache: Arc<ArtifactCache>,
-    engine: Arc<QueryEngine>,
+    engine: QueryEngine,
     metrics: Arc<Metrics>,
+    respcache: ResponseCache,
     shutdown: Arc<AtomicBool>,
+    gate: Gate,
+    crew: Mutex<Crew>,
+    /// Wakes parked crew threads: a hand-off was posted, or the drain
+    /// began.
+    role: Condvar,
+    /// Wakes [`Server::run`]: the last crew thread exited.
+    exited: Condvar,
+}
+
+impl Shared {
+    fn handle(&self) -> ServerHandle {
+        ServerHandle {
+            addr: self.addr,
+            shutdown: Arc::clone(&self.shutdown),
+            metrics: Arc::clone(&self.metrics),
+        }
+    }
 }
 
 /// A cheap handle for observing and stopping a running [`Server`].
@@ -184,228 +207,90 @@ impl ServerHandle {
     }
 
     /// Begins the graceful drain: no new connections are accepted,
-    /// queued and in-flight requests finish, then [`Server::run`]
-    /// returns.
+    /// requests under way finish, then [`Server::run`] returns.
     pub fn shutdown(&self) {
-        // AcqRel: the release side publishes "draining" to the
-        // acceptor's Acquire load; the acquire side orders this thread
+        // AcqRel: the release side publishes "draining" to the serving
+        // threads' Acquire loads; the acquire side orders this thread
         // after any earlier shutdown call it lost the race to.
         if !self.shutdown.swap(true, Ordering::AcqRel) {
-            // Wake the acceptor if it is parked in `accept()`.
+            // Wake the thread blocked in `accept()`.
             let _ = TcpStream::connect(self.addr);
         }
     }
 }
 
 impl Server {
-    /// Binds the listener and prepares the worker pool configuration.
+    /// Binds the listener and builds the shared serving state.
     ///
     /// # Errors
     ///
     /// Propagates bind failures (bad address, port in use).
     pub fn bind(config: ServerConfig, cache: ArtifactCache) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
+        let addr = listener.local_addr()?;
         let cache = Arc::new(cache);
         // The query engine shares the artifact cache (and through it the
         // memoized `Ctx`), so shadowed specs and ad-hoc points reuse the
         // same lowered programs the registry targets computed.
-        let engine = Arc::new(QueryEngine::new(
-            Arc::clone(&cache),
-            config.query_cache_bytes,
-        ));
+        let engine = QueryEngine::new(Arc::clone(&cache), config.query_cache_bytes);
         Ok(Server {
-            listener,
-            local_addr,
-            config,
-            cache,
-            engine,
-            metrics: Arc::new(Metrics::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shared: Arc::new(Shared {
+                listener,
+                addr,
+                respcache: ResponseCache::new(config.response_cache_bytes),
+                gate: Gate::new(config.workers, config.backlog),
+                config,
+                cache,
+                engine,
+                metrics: Arc::new(Metrics::new()),
+                shutdown: Arc::new(AtomicBool::new(false)),
+                crew: Mutex::default(),
+                role: Condvar::new(),
+                exited: Condvar::new(),
+            }),
         })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.addr
     }
 
     /// A handle usable from other threads to stop the server.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            addr: self.local_addr,
-            shutdown: Arc::clone(&self.shutdown),
-            metrics: Arc::clone(&self.metrics),
-        }
+        self.shared.handle()
     }
 
-    /// Serves until a drain is requested, then finishes queued work and
-    /// returns. This call owns the calling thread (it becomes the
-    /// reactor's event loop).
+    /// Serves until a drain is requested and every connection has
+    /// closed, then returns. The calling thread takes the accept role
+    /// first and joins the crew of connection threads.
     ///
     /// # Errors
     ///
-    /// Only listener-level failures; per-connection errors are answered
-    /// on the wire (4xx/5xx) or dropped, never escalated.
+    /// None today: per-connection errors are answered on the wire
+    /// (4xx/5xx) or close that connection, never escalated.
     pub fn run(self) -> std::io::Result<()> {
-        let handle = self.handle();
-        let respcache = Arc::new(ResponseCache::new(self.config.response_cache_bytes));
-        // Completions flow pool → reactor over a bounded channel; the
-        // generous slack keeps workers from blocking on the hand-back
-        // even when the reactor is mid-pass through a busy slab.
-        let (completions_tx, completions_rx) = std::sync::mpsc::sync_channel::<Completion>(
-            self.config.workers + self.config.backlog + 256,
-        );
-        let pool = {
-            let cache = Arc::clone(&self.cache);
-            let engine = Arc::clone(&self.engine);
-            let metrics = Arc::clone(&self.metrics);
-            let respcache = Arc::clone(&respcache);
-            let handle = handle.clone();
-            let compute_deadline = self.config.compute_deadline;
-            // The metrics' panic counter is shared with the pool, so a
-            // worker that dies panicking (and respawns) is visible as
-            // `worker_panics_total` without any callback plumbing.
-            ThreadPool::with_panic_counter(
-                self.config.workers,
-                self.config.backlog,
-                self.metrics.worker_panics_counter(),
-                move |job: ComputeJob| {
-                    let serve = ServeState {
-                        cache: &cache,
-                        engine: &engine,
-                        metrics: &metrics,
-                        handle: &handle,
-                        respcache: &respcache,
-                    };
-                    compute_response(job, &serve, &completions_tx, compute_deadline);
-                },
-            )
-        };
-        let reactor = Reactor::new(
-            self.listener,
-            Arc::clone(&self.metrics),
-            respcache,
-            Arc::clone(&self.shutdown),
-            completions_rx,
-            ReactorLimits {
-                max_connections: self.config.max_connections,
-                idle_timeout: self.config.idle_timeout,
-                io_timeout: self.config.io_timeout,
-            },
-        );
-        let outcome = reactor.run(&pool);
-        // Drain: close the queue, let workers finish, then drop the
-        // listener so the port frees only after the last response.
-        pool.join();
-        outcome
+        conn::run(&self.shared);
+        Ok(())
     }
 }
 
-/// The shared serving state every compute handler borrows: the artifact
-/// cache, query engine, counters, drain handle, and the pre-serialized
-/// response cache.
-#[derive(Clone, Copy)]
-struct ServeState<'a> {
-    cache: &'a ArtifactCache,
-    engine: &'a QueryEngine,
-    metrics: &'a Metrics,
-    handle: &'a ServerHandle,
-    respcache: &'a ResponseCache,
-}
-
-/// Sends [`Completion::Abort`] if the compute handler unwinds before
-/// disarming: the reactor then drops the whole connection, exactly as
-/// the old thread-per-connection worker dying did. The pool's sentinel
-/// respawns the worker either way.
-struct AbortGuard<'a> {
-    tx: &'a SyncSender<Completion>,
-    slot: u32,
-    generation: u32,
-    armed: bool,
-}
-
-impl AbortGuard<'_> {
-    fn disarm(&mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for AbortGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = self.tx.send(Completion::Abort {
-                slot: self.slot,
-                generation: self.generation,
-            });
-        }
-    }
-}
-
-/// The pool's compute handler: serves one parsed request and hands the
-/// response back to the reactor in pipeline order.
-fn compute_response(
-    job: ComputeJob,
-    serve: &ServeState<'_>,
-    completions: &SyncSender<Completion>,
-    compute_deadline: Duration,
-) {
-    let ComputeJob {
-        slot,
-        generation,
-        seq,
-        request,
-        started,
-        cache_key,
-    } = job;
-    let mut guard = AbortGuard {
-        tx: completions,
-        slot,
-        generation,
-        armed: true,
-    };
-    let metrics = serve.metrics;
-    let _in_flight = metrics.track_in_flight();
-    // The `serve-request` fault site: a `panic` rule fires on this very
-    // worker thread (exercising pool respawn — the abort guard makes
-    // the reactor drop the client's connection), an `err` rule answers
-    // 500, a `hang` rule holds the worker for its duration.
-    let (route, response) = match accelwall_faults::probe(accelwall_faults::sites::SERVE_REQUEST) {
-        Err(fault) => (Route::Other, Response::text(500, format!("{fault}\n"))),
-        Ok(()) => route_request(&request, serve, compute_deadline),
-    };
-    // Populate the reactor's fast path: only `200`s for cacheable
-    // request shapes (the reactor computed `cache_key` under the same
-    // admission rules), and never while a fault plan is armed.
-    if let Some(key) = &cache_key {
-        if response.status == 200 && !accelwall_faults::is_armed() {
-            serve.respcache.insert(key, route, &response);
-        }
-    }
-    let _ = completions.send(Completion::Done {
-        slot,
-        generation,
-        seq,
-        route,
-        response,
-        started,
-    });
-    guard.disarm();
+/// Locks a mutex, riding through poisoning: every value the server
+/// guards is updated in single statements, so a panic elsewhere cannot
+/// leave it torn.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Maps one parsed request onto a route and a response.
-fn route_request(
-    request: &Request,
-    serve: &ServeState<'_>,
-    compute_deadline: Duration,
-) -> (Route, Response) {
-    let ServeState {
+fn route_request(request: &Request, shared: &Shared) -> (Route, Response) {
+    let Shared {
         cache,
         engine,
         metrics,
-        handle,
         respcache,
-    } = *serve;
+        ..
+    } = shared;
     let get_only = |route: Route, response: Response| {
         if request.method == "GET" {
             (route, response)
@@ -439,7 +324,7 @@ fn route_request(
         ),
         "/shutdown" => {
             if request.method == "POST" {
-                handle.shutdown();
+                shared.handle().shutdown();
                 (Route::Shutdown, Response::text(200, "draining\n"))
             } else {
                 (Route::Shutdown, Response::method_not_allowed("POST"))
@@ -452,7 +337,7 @@ fn route_request(
                 }
                 (
                     Route::Experiment,
-                    experiment_response(id, request, cache, compute_deadline),
+                    experiment_response(id, request, cache, shared.config.compute_deadline),
                 )
             }
             None => (Route::Other, Response::text(404, no_such_route_body())),
@@ -980,8 +865,8 @@ mod tests {
             "{text}"
         );
 
-        // Warm `/experiments/{id}` hits are answered inline by the
-        // reactor, and each one still adds its wall time to the route's
+        // Warm `/experiments/{id}` hits are answered from the response
+        // cache, and each one still adds its wall time to the route's
         // latency sum.
         let latency_sum = |text: &str| -> f64 {
             let name = "accelwall_request_latency_seconds_sum{route=\"/experiments/{id}\"}";
@@ -1095,7 +980,7 @@ mod tests {
             for chunk in chunks {
                 stream.write_all(chunk).expect("send chunk");
                 stream.flush().expect("flush");
-                // Let the reactor observe a genuinely partial buffer.
+                // Let the server observe a genuinely partial buffer.
                 std::thread::sleep(Duration::from_millis(2));
             }
             let mut out = Vec::new();
@@ -1135,6 +1020,108 @@ mod tests {
         let (handle, join) = coarse_server();
         handle.shutdown();
         handle.shutdown(); // idempotent
+        join.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn a_drain_closes_idle_keep_alive_connections_at_once() {
+        let cache = ArtifactCache::new(Registry::paper(), Ctx::with_space(SweepSpace::coarse()));
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            idle_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(config, cache).expect("bind");
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run());
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("send");
+        assert_eq!(read_framed(&mut stream, &mut Vec::new()).0, 200);
+
+        // The connection sits idle, far inside its 30 s idle timeout:
+        // the drain must close it rather than wait the timeout out.
+        let drain = std::time::Instant::now();
+        handle.shutdown();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("EOF, not a timeout");
+        assert!(rest.is_empty(), "bytes after the drain: {rest:?}");
+        join.join().expect("server thread").expect("clean exit");
+        assert!(
+            drain.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            drain.elapsed()
+        );
+    }
+
+    #[test]
+    fn the_compute_gate_queues_one_request_then_sheds_with_503() {
+        let cache = ArtifactCache::new(Registry::paper(), Ctx::with_space(SweepSpace::coarse()));
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            backlog: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(config, cache).expect("bind");
+        let shared = Arc::clone(&server.shared);
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run());
+        let addr = handle.addr();
+
+        // The test holds the only compute slot, so the next request
+        // waits in the backlog...
+        let held = shared.gate.enter().expect("a free slot");
+        let second = std::thread::spawn(move || get(addr, "/healthz"));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while shared.gate.waiting() == 0 {
+            assert!(std::time::Instant::now() < deadline, "never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ...and with the backlog full too, the one after is shed.
+        let (status, body) = get(addr, "/healthz");
+        assert_eq!(
+            (status, body.as_str()),
+            (503, "server saturated, retry later\n")
+        );
+        drop(held);
+        let (status, _) = second.join().expect("second client");
+        assert_eq!(status, 200, "the queued request runs once the slot frees");
+        let (_, text) = get(addr, "/metrics");
+        assert_eq!(metric(&text, "accelwall_connections_rejected_total"), 1);
+
+        handle.shutdown();
+        join.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn framing_the_parser_cannot_follow_gets_one_answer_then_eof() {
+        let (handle, join) = coarse_server();
+        let head = "POST /query HTTP/1.1\r\nHost: t\r\n";
+        let body = r#"{"workload": "fft"}"#;
+        let chunked = format!("{head}Transfer-Encoding: chunked\r\n\r\n13\r\n{body}\r\n0\r\n\r\n");
+        let two_lengths = format!("{head}Content-Length: 2\r\nContent-Length: 19\r\n\r\n{body}");
+        for (raw, status) in [(chunked, 501), (two_lengths, 400)] {
+            // Keep-alive requests: had the server guessed at the framing,
+            // the leftover body bytes would parse as a second request.
+            let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+            stream.write_all(raw.as_bytes()).expect("send");
+            let mut carry = Vec::new();
+            assert_eq!(read_framed(&mut stream, &mut carry).0, status, "{raw:?}");
+            stream
+                .read_to_end(&mut carry)
+                .expect("EOF after the refusal");
+            assert!(
+                carry.is_empty(),
+                "a second response followed: {:?}",
+                String::from_utf8_lossy(&carry)
+            );
+        }
+        handle.shutdown();
         join.join().expect("server thread").expect("clean exit");
     }
 }

@@ -14,8 +14,9 @@
 //!    `accelwall_dfg_lowerings_total` and the program size gauges
 //!    (`accelwall_dfg_program_{nodes,edges,bytes}`), which prove each
 //!    workload graph was lowered to bytecode exactly once;
-//! 4. failure-containment counters: `worker_panics_total` (pool workers
-//!    that died panicking and were respawned — stays 0 while the cache's
+//! 4. failure-containment counters: `worker_panics_total` (request
+//!    handlers that panicked; the connection thread caught the panic and
+//!    dropped that connection — stays 0 while the cache's
 //!    `catch_unwind` containment holds), the cache's retry / contained
 //!    panic / compute-timeout counters, and — when a fault plan is armed
 //!    via `ACCELWALL_FAULTS` — one `accelwall_fault_injections_total`
@@ -26,9 +27,9 @@
 //!    run), and `accelwall_par_steals_total` (chunk batches taken by a
 //!    worker rather than the submitting thread) — how much intra-
 //!    experiment parallelism the serving process is actually getting;
-//! 6. connection-reactor counters: connections admitted / open,
-//!    keep-alive reuses, pipelined requests, idle-timeout reaps,
-//!    over-cap sheds, event-loop iterations, and the pre-serialized
+//! 6. connection counters: connections admitted / open, keep-alive
+//!    reuses, pipelined requests, idle-timeout reaps, over-cap sheds,
+//!    compute-gate rejections, and the pre-serialized
 //!    response cache's hit/miss/eviction/byte series
 //!    ([`RespCacheStats`]) — the numbers the serve bench and the CI
 //!    keep-alive smoke assert on.
@@ -38,7 +39,7 @@
 //! what paths clients probe.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use accelerator_wall::artifacts::CacheStats;
@@ -102,7 +103,7 @@ struct RouteStats {
     latency_ns: AtomicU64,
 }
 
-/// All server-side counters, shared across workers by reference.
+/// All server-side counters, shared across serving threads by reference.
 #[derive(Debug, Default)]
 pub struct Metrics {
     per_route: [RouteStats; Route::ALL.len()],
@@ -115,11 +116,7 @@ pub struct Metrics {
     pipelined: AtomicU64,
     idle_timeouts: AtomicU64,
     over_cap: AtomicU64,
-    reactor_polls: AtomicU64,
-    /// Shared with the worker pool (see
-    /// [`ThreadPool::with_panic_counter`](crate::pool::ThreadPool::with_panic_counter)),
-    /// which increments it when a worker dies panicking and is respawned.
-    worker_panics: Arc<AtomicU64>,
+    worker_panics: AtomicU64,
 }
 
 impl Metrics {
@@ -148,15 +145,23 @@ impl Metrics {
         }
     }
 
-    /// Marks a connection rejected by backpressure (503 before routing).
+    /// Marks a request rejected by backpressure (503 before routing).
     pub fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one connection admitted by the reactor.
-    pub fn record_connection_opened(&self) {
+    /// Admits one connection unless `max` are already open; a refused
+    /// one counts as an over-cap shed instead. Closes run concurrently
+    /// on other threads, so the connection is counted first and the
+    /// count compared after.
+    pub fn open_connection(&self, max: usize) -> bool {
+        if self.open_connections.fetch_add(1, Ordering::Relaxed) >= max {
+            self.open_connections.fetch_sub(1, Ordering::Relaxed);
+            self.over_cap.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
         self.connections.fetch_add(1, Ordering::Relaxed);
-        self.open_connections.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Records one admitted connection closing (any reason).
@@ -170,8 +175,8 @@ impl Metrics {
         self.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a request parsed while earlier ones on the same
-    /// connection were still outstanding (true pipelining).
+    /// Records a request parsed while an earlier response on the same
+    /// connection was still unwritten (true pipelining).
     pub fn record_pipelined(&self) {
         self.pipelined.fetch_add(1, Ordering::Relaxed);
     }
@@ -179,16 +184,6 @@ impl Metrics {
     /// Records a connection reaped by the idle/stall timeout.
     pub fn record_idle_timeout(&self) {
         self.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection shed by the concurrent-connection cap.
-    pub fn record_over_cap(&self) {
-        self.over_cap.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one reactor event-loop iteration.
-    pub fn record_reactor_poll(&self) {
-        self.reactor_polls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Connections admitted so far (the CI smoke compares this against
@@ -202,13 +197,13 @@ impl Metrics {
         self.keepalive_reuses.load(Ordering::Relaxed)
     }
 
-    /// The worker-panic counter, cloned into the pool at construction so
-    /// respawns show up here without a callback.
-    pub fn worker_panics_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.worker_panics)
+    /// Records a request handler that panicked (its connection was
+    /// dropped).
+    pub fn record_worker_panic(&self) {
+        self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Pool workers that died panicking (each one was respawned).
+    /// Request handlers that panicked so far.
     pub fn worker_panics(&self) -> u64 {
         self.worker_panics.load(Ordering::Relaxed)
     }
@@ -299,10 +294,6 @@ impl Metrics {
             (
                 "connections_over_cap_total",
                 self.over_cap.load(Ordering::Relaxed),
-            ),
-            (
-                "reactor_polls_total",
-                self.reactor_polls.load(Ordering::Relaxed),
             ),
         ] {
             let _ = writeln!(out, "accelwall_{name} {value}");
@@ -574,11 +565,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_counter_is_shared_with_the_pool_side() {
+    fn worker_panics_are_counted_and_rendered() {
         let m = Metrics::new();
         assert_eq!(m.worker_panics(), 0);
-        // The pool holds a clone and increments it on respawn; simulate.
-        m.worker_panics_counter().fetch_add(2, Ordering::SeqCst);
+        m.record_worker_panic();
+        m.record_worker_panic();
         assert_eq!(m.worker_panics(), 2);
         let text = m.render(
             empty_stats(),
@@ -594,16 +585,15 @@ mod tests {
     }
 
     #[test]
-    fn reactor_and_response_cache_series_render() {
+    fn connection_and_response_cache_series_render() {
         let m = Metrics::new();
-        m.record_connection_opened();
-        m.record_connection_opened();
+        assert!(m.open_connection(2));
+        assert!(m.open_connection(2));
+        assert!(!m.open_connection(2), "a third connection is over the cap");
         m.record_connection_closed();
         m.record_keepalive_reuse();
         m.record_pipelined();
         m.record_idle_timeout();
-        m.record_over_cap();
-        m.record_reactor_poll();
         assert_eq!(m.connections(), 2);
         assert_eq!(m.keepalive_reuses(), 1);
         let resp = RespCacheStats {
@@ -622,7 +612,6 @@ mod tests {
         assert!(text.contains("accelwall_pipelined_requests_total 1"));
         assert!(text.contains("accelwall_idle_timeouts_total 1"));
         assert!(text.contains("accelwall_connections_over_cap_total 1"));
-        assert!(text.contains("accelwall_reactor_polls_total 1"));
         assert!(text.contains("accelwall_response_cache_hits_total 9"));
         assert!(text.contains("accelwall_response_cache_misses_total 3"));
         assert!(text.contains("accelwall_response_cache_evictions_total 1"));

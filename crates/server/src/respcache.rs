@@ -4,10 +4,10 @@
 //! the *wire bytes* built from them — header block (both persistence
 //! modes, `Content-Length` precomputed) plus body — keyed by the request
 //! shape (`path`, query string, `Accept` variant). A warm request on
-//! the reactor thread is then parse → key → one lookup → `writev`,
-//! never re-rendering JSON and never crossing into the worker pool.
+//! its connection thread is then parse → key → one lookup → `writev`,
+//! never re-rendering JSON and never taking a compute slot.
 //!
-//! Only safe entries are admitted, by the reactor/pool in `lib.rs`:
+//! Only safe entries are admitted, by the request handler in `conn.rs`:
 //! `GET` requests answering `200` on the immutable-content routes
 //! (`/experiments`, `/experiments/{id}`, `/query`, `/query/schema`).
 //! Those bodies are deterministic for the lifetime of the process — the
@@ -34,7 +34,7 @@ use crate::http::Response;
 use crate::metrics::Route;
 
 /// One cached response: precomputed wire bytes for both persistence
-/// modes plus the metadata the reactor needs to record metrics.
+/// modes plus the metadata a connection thread needs to record metrics.
 #[derive(Debug)]
 pub struct CachedResponse {
     /// HTTP status (always 200 under the current admission rules).
@@ -54,7 +54,7 @@ pub struct CachedResponse {
 pub struct RespCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that missed (the request went to the pool).
+    /// Lookups that missed (the request was computed).
     pub misses: u64,
     /// Entries admitted.
     pub insertions: u64,
@@ -140,8 +140,8 @@ impl ResponseCache {
     }
 
     /// Admits one response under `key`, pre-rendering both header-block
-    /// variants. A duplicate key (two pool workers racing the same
-    /// compute) keeps the incumbent; an entry larger than the whole cap
+    /// variants. A duplicate key (two connection threads racing the
+    /// same compute) keeps the incumbent; an entry larger than the whole cap
     /// is refused; otherwise LRU entries are evicted until it fits.
     pub fn insert(&self, key: &str, route: Route, response: &Response) {
         let cached = CachedResponse {

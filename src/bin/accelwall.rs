@@ -65,7 +65,7 @@ use std::process::ExitCode;
 const KNOWN_FLAGS: &[(&str, &str)] = &[
     ("--json", "emit the JSON artifact instead of text"),
     ("--addr", "HOST:PORT the server binds (serve only)"),
-    ("--workers", "worker thread count (serve only)"),
+    ("--workers", "requests computed at once (serve only)"),
     ("--deadline-ms", "compute deadline before 504 (serve only)"),
     ("--threads", "compute-pool thread count (all and serve)"),
     (

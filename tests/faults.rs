@@ -1,8 +1,8 @@
 //! Chaos tests of `accelwall serve` under an armed fault plan: injected
 //! transient errors answer 500-with-Retry-After and then recover
-//! byte-identical to the CLI, contained experiment panics never take a
-//! pool worker down, `serve-request` panics kill workers that the pool
-//! respawns, hangs turn into 504s while the compute settles in the
+//! byte-identical to the CLI, contained experiment panics never reach
+//! the request handler, `serve-request` panics drop the connection and
+//! are counted, hangs turn into 504s while the compute settles in the
 //! background, query-engine faults (shedding and compute errors) answer
 //! retryably without poisoning the query LRU, and malformed
 //! `ACCELWALL_FAULTS` specs abort startup before the socket binds.
@@ -106,7 +106,7 @@ fn transient_errors_give_retryable_500s_then_recover_byte_identical() {
 
 /// A panicking experiment is contained on its compute thread: the
 /// request gets a retryable 500, other targets keep serving at full
-/// capacity, no pool worker dies, and the target recovers.
+/// capacity, no request handler panics, and the target recovers.
 #[test]
 fn a_panicking_experiment_is_contained_and_other_targets_keep_serving() {
     let serve = spawn("fig3a:panic:1", &[]);
@@ -134,7 +134,7 @@ fn a_panicking_experiment_is_contained_and_other_targets_keep_serving() {
         metric(&metrics, "accelwall_artifact_cache_panics_contained_total"),
         1.0
     );
-    // The panic died on a compute thread, not a pool worker.
+    // The panic died on a compute thread, not in the request handler.
     assert_eq!(metric(&metrics, "accelwall_worker_panics_total"), 0.0);
 
     thread::sleep(PAST_BACKOFF);
@@ -145,9 +145,10 @@ fn a_panicking_experiment_is_contained_and_other_targets_keep_serving() {
     serve.shutdown_and_wait();
 }
 
-/// `serve-request:panic:N` kills the handling worker itself: the client
-/// sees a dropped connection, the pool respawns the worker, and the
-/// server keeps answering afterwards with the panics counted.
+/// `serve-request:panic:N` panics the request handler itself: its
+/// connection thread catches the panic, counts it, and drops the
+/// connection (the client sees it close unanswered), and the server
+/// keeps answering afterwards.
 #[test]
 fn worker_panics_drop_the_connection_and_the_pool_respawns() {
     let serve = spawn("serve-request:panic:2", &[]);
@@ -160,8 +161,8 @@ fn worker_panics_drop_the_connection_and_the_pool_respawns() {
         );
     }
 
-    // Both workers panicked and were respawned; the pool is back at
-    // full capacity and every subsequent request is answered.
+    // Both handlers panicked and were contained; every subsequent
+    // request is answered.
     thread::scope(|scope| {
         for _ in 0..2 {
             let addr = &addr;
@@ -176,9 +177,8 @@ fn worker_panics_drop_the_connection_and_the_pool_respawns() {
         }
     });
 
-    // The panic counter increments while the dead worker unwinds —
-    // after the client already saw its connection drop — so poll
-    // briefly rather than racing the unwind.
+    // The panic counter may increment just after the client saw its
+    // connection drop, so poll briefly rather than race it.
     let deadline = Instant::now() + Duration::from_secs(5);
     let metrics = loop {
         let metrics = get(&addr, "/metrics").body;
@@ -296,14 +296,14 @@ fn injected_query_faults_shed_then_fail_retryably_without_poisoning_the_cache() 
     serve.shutdown_and_wait();
 }
 
-/// The `serve-conn` site fires in the reactor's accept path, before any
-/// request is parsed: an `err` sheds the brand-new connection with a
-/// 503 + close, and a `panic` is contained on the reactor thread — the
-/// connection drops, but the reactor keeps accepting afterwards.
+/// The `serve-conn` site fires at admission on the accepting thread,
+/// before any request is parsed: an `err` sheds the brand-new
+/// connection with a 503 + close, and a `panic` is contained there —
+/// the connection drops, but the server keeps accepting afterwards.
 #[test]
 fn injected_connection_faults_shed_or_drop_without_killing_the_reactor() {
     // err: the connection is answered 503 and closed, never reaching
-    // the parser or the pool.
+    // the parser or a handler.
     let serve = spawn("serve-conn:err:1", &[]);
     let addr = serve.addr.clone();
     let shed = get(&addr, "/healthz");
@@ -323,7 +323,7 @@ fn injected_connection_faults_shed_or_drop_without_killing_the_reactor() {
     );
     serve.shutdown_and_wait();
 
-    // panic: the connection drops with no bytes, the reactor survives
+    // panic: the connection drops with no bytes, the server survives
     // and keeps serving.
     let serve = spawn("serve-conn:panic:2", &[]);
     let addr = serve.addr.clone();
@@ -344,7 +344,7 @@ fn injected_connection_faults_shed_or_drop_without_killing_the_reactor() {
         metrics.contains("accelwall_fault_injections_total{site=\"serve-conn\",kind=\"panic\"} 2"),
         "missing injection counter:\n{metrics}"
     );
-    // The contained panics never touched the worker pool.
+    // The contained panics never reached a request handler.
     assert_eq!(metric(&metrics, "accelwall_worker_panics_total"), 0.0);
     serve.shutdown_and_wait();
 }
