@@ -23,9 +23,15 @@ pub fn fig14_grid(space: &SweepSpace) -> (f64, f64) {
     let mut ee_log = 0.0;
     for &w in Workload::all() {
         let dfg = w.default_instance();
-        // lint:allow(no-panic-paths): bench harness; aborting the bench on a broken sweep is the desired behavior
+        #[expect(
+            clippy::expect_used,
+            reason = "bench harness; aborting the bench on a broken sweep is the desired behavior"
+        )]
         let p = attribute_gains(&dfg, Metric::Performance, space).expect("sweep runs");
-        // lint:allow(no-panic-paths): bench harness; aborting the bench on a broken sweep is the desired behavior
+        #[expect(
+            clippy::expect_used,
+            reason = "bench harness; aborting the bench on a broken sweep is the desired behavior"
+        )]
         let e = attribute_gains(&dfg, Metric::EnergyEfficiency, space).expect("sweep runs");
         perf_log += p.total_gain.ln();
         ee_log += e.total_gain.ln();
@@ -40,7 +46,10 @@ pub fn all_walls() -> f64 {
     let mut acc = 0.0;
     for &d in Domain::all() {
         for m in [TargetMetric::Performance, TargetMetric::EnergyEfficiency] {
-            // lint:allow(no-panic-paths): bench harness; aborting the bench on a broken projection is the desired behavior
+            #[expect(
+                clippy::expect_used,
+                reason = "bench harness; aborting the bench on a broken projection is the desired behavior"
+            )]
             let w = accelerator_wall(d, m).expect("walls project");
             acc += w.further_linear + w.further_log;
         }

@@ -10,7 +10,7 @@ use crate::{ChipKind, ChipRecord};
 use accelwall_cmos::TechNode;
 
 /// Rows: (name, kind, node, die mm², transistors, TDP W, MHz, year).
-#[allow(clippy::type_complexity)] // literal datasheet rows
+#[allow(clippy::type_complexity, reason = "literal datasheet rows")]
 const CURATED: &[(&str, ChipKind, TechNode, f64, f64, f64, f64, u32)] = &[
     // CPUs.
     (

@@ -46,7 +46,10 @@ use std::str::FromStr;
 /// decoders through 16 nm GPUs and Bitcoin ASICs) and its projections
 /// (down to the IRDS-projected 5 nm "final" node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)] // variants are self-describing: N<feature size in nm>
+#[allow(
+    missing_docs,
+    reason = "variants are self-describing: N<feature size in nm>"
+)]
 pub enum TechNode {
     N180,
     N130,
@@ -188,12 +191,15 @@ impl TechNode {
 
     /// Device parameters of this node.
     pub fn params(self) -> &'static NodeParams {
-        &TABLE
+        #[expect(
+            clippy::expect_used,
+            reason = "TABLE covers every TechNode; all_nodes_ordered_oldest_to_newest exercises params() for each variant"
+        )]
+        let (_, params) = TABLE
             .iter()
             .find(|(n, _)| *n == self)
-            // lint:allow(no-panic-paths): TABLE covers every TechNode; all_nodes_ordered_oldest_to_newest exercises params() for each variant
-            .expect("every variant is in the table")
-            .1
+            .expect("every variant is in the table");
+        params
     }
 
     /// Switching-speed potential relative to 45 nm (reciprocal gate delay).

@@ -315,7 +315,10 @@ impl ArtifactCache {
             match &*gate {
                 Gate::Done => {
                     let value = slot.value.get();
-                    // lint:allow(no-panic-paths): Done is written only after the OnceLock fills
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Done is written only after the OnceLock fills"
+                    )]
                     return Ok(value.expect("Done gate implies a stored artifact"));
                 }
                 Gate::Failed {

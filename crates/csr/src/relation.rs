@@ -114,7 +114,10 @@ impl RelationMatrix {
                         .iter()
                         .map(|app| obs.gains[&archs[i]][*app] / obs.gains[&archs[j]][*app])
                         .collect();
-                    // lint:allow(no-panic-paths): shared is non-empty (len >= min_shared_apps) and gains are validated positive on insert
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "shared is non-empty (len >= min_shared_apps) and gains are validated positive on insert"
+                    )]
                     let g = geomean(&ratios).expect("ratios of validated gains are positive");
                     cells[idx(i, j)] = Some(g);
                     cells[idx(j, i)] = Some(1.0 / g);
@@ -139,7 +142,10 @@ impl RelationMatrix {
                         })
                         .collect();
                     if !through.is_empty() {
-                        // lint:allow(no-panic-paths): through is checked non-empty and products of positive cells stay positive
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "through is checked non-empty and products of positive cells stay positive"
+                        )]
                         let g = geomean(&through).expect("positive products");
                         added.push((i, j, g));
                     }

@@ -107,7 +107,10 @@ impl Dfg {
             }
             Op::Sigmoid => 1.0 / (1.0 + (-args[0]).exp()),
             Op::Lut { table } => {
-                // lint:allow(no-panic-paths): DfgBuilder::build validates every Lut op's table id before a graph can exist
+                #[expect(
+                    clippy::expect_used,
+                    reason = "DfgBuilder::build validates every Lut op's table id before a graph can exist"
+                )]
                 let t = self.table(table).expect("lut table registered at build");
                 t[(bits(args[0]) & 0xff) as usize] as f64
             }

@@ -432,8 +432,11 @@ impl ArmedPlan {
             FaultKind::Err { .. } => Err(InjectedFault {
                 site: site.to_string(),
             }),
+            #[expect(
+                clippy::panic,
+                reason = "panicking is this rule's entire job; containment upstream is the thing under test"
+            )]
             FaultKind::Panic { .. } => {
-                // lint:allow(no-panic-paths): panicking is this rule's entire job; containment upstream is the thing under test
                 panic!("injected fault: site {site:?} ordered to panic by the armed FaultPlan")
             }
             FaultKind::Hang { duration } => {

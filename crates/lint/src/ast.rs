@@ -1,10 +1,10 @@
 //! The item tree the recursive-descent parser produces.
 //!
-//! The semantic rules (`atomic-ordering`, `lock-order`, `determinism`,
-//! `bounded-channel`) need more shape than a token stream offers: which
-//! function a call sits in, what type a struct field has, what a `use`
-//! brings into scope. A full Rust AST would be wildly out of proportion
-//! (and `dep-free` forbids pulling in `syn`), so [`crate::parser`]
+//! The semantic rules (`atomic-ordering`, `lock-order`, `determinism`)
+//! need more shape than a token stream offers: which function a call
+//! sits in, what type a struct field has. A full Rust AST would be
+//! wildly out of proportion (and the workspace takes no dependencies,
+//! so no `syn`), so [`crate::parser`]
 //! produces this deliberately lightweight tree instead:
 //!
 //! * items carry their name, kind, and the token range of their

@@ -4,7 +4,7 @@
 //! from strings and comments, to find method-call and macro-invocation
 //! patterns, and to anchor every finding to a line and column. A full
 //! parser would be overkill (and would drag in a dependency, which the
-//! `dep-free` lint itself forbids), so this module tokenizes the
+//! workspace does without), so this module tokenizes the
 //! mechanical subset of Rust the rules rely on:
 //!
 //! * identifiers (including raw `r#ident`) and lifetimes,

@@ -3,11 +3,10 @@
 //!
 //! The reproduction's credibility rests on properties the paper's models
 //! silently assume — compute-once artifact resolution, an acyclic
-//! experiment dependency graph, NaN-free log-log regressions — plus repo
-//! policies (zero external dependencies, no panic paths outside tests)
-//! that earlier PRs established only by convention. This crate turns
-//! those conventions into a machine-checked gate, mirroring the design
-//! of the experiment pipeline it polices:
+//! experiment dependency graph, NaN-free log-log regressions — that
+//! earlier PRs established only by convention. This crate turns those
+//! conventions into a machine-checked gate, mirroring the design of the
+//! experiment pipeline it polices:
 //!
 //! * [`lexer`] — a hand-rolled, line/column-tracking Rust tokenizer that
 //!   understands strings, raw strings, comments, and (via [`source`])
@@ -18,15 +17,20 @@
 //!   reason about *which* function and *which* receiver, not just which
 //!   token;
 //! * [`symbols`] — a per-crate symbol index (struct-field and
-//!   const/static types, per-file `use` maps) distilled from the trees;
-//! * [`workspace`] — loads every `.rs` file, `Cargo.toml`, and
-//!   `EXPERIMENTS.md` under the workspace root;
+//!   const/static types) distilled from the trees;
+//! * [`workspace`] — loads every `.rs` file, `EXPERIMENTS.md`, and
+//!   `DESIGN.md` under the workspace root;
 //! * [`Lint`] + [`LintRegistry`] — a pluggable rule trait and the
 //!   standard roster, exactly like `Experiment` + `Registry::paper()`;
-//! * [`rules`] — the eleven shipped rules (see
-//!   [`LintRegistry::standard`]), from token-level policy checks to the
-//!   parser-backed `atomic-ordering`, `lock-order`, `determinism`, and
-//!   `bounded-channel` concurrency rules.
+//! * [`rules`] — the seven shipped rules (see
+//!   [`LintRegistry::standard`]), from token-level checks to the
+//!   parser-backed `atomic-ordering`, `lock-order`, and `determinism`
+//!   concurrency rules.
+//!
+//! Generic policy — no panic paths or `process::exit` in shipping code,
+//! no unbounded `mpsc::channel`, no registry dependencies — is left to
+//! clippy, rustc and `Cargo.lock`; the clippy gate in `tests/lint.rs`
+//! enforces it.
 //!
 //! Findings can be silenced, one site at a time, with a justified
 //! escape hatch: `// lint:allow(<rule>): <why this site is safe>`.
@@ -144,17 +148,13 @@ impl LintRegistry {
     /// Every shipped rule, in reporting order.
     pub fn standard() -> LintRegistry {
         let mut r = LintRegistry::new();
-        r.register(Box::new(rules::panic_paths::NoPanicPaths));
-        r.register(Box::new(rules::dep_free::DepFree));
         r.register(Box::new(rules::registry_sync::RegistrySync));
         r.register(Box::new(rules::float_hygiene::FloatHygiene));
-        r.register(Box::new(rules::no_exit::NoExitInLib));
         r.register(Box::new(rules::doc_sync::DocSync));
         r.register(Box::new(rules::fault_sites::FaultSites));
         r.register(Box::new(rules::atomic_ordering::AtomicOrdering));
         r.register(Box::new(rules::lock_order::LockOrder));
         r.register(Box::new(rules::determinism::Determinism));
-        r.register(Box::new(rules::bounded_channel::BoundedChannel));
         r
     }
 
@@ -273,7 +273,7 @@ impl LintRegistry {
                 .map(|l| (l.name(), l.description()))
                 .chain(std::iter::once((ALLOW_AUDIT_RULE, ALLOW_AUDIT_DESCRIPTION)))
                 .collect(),
-            files_scanned: ws.files.len() + ws.manifests.len(),
+            files_scanned: ws.files.len(),
         }
     }
 }
@@ -285,7 +285,7 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// The `(name, description)` roster of rules that ran.
     pub rules: Vec<(&'static str, &'static str)>,
-    /// How many source files and manifests were scanned.
+    /// How many source files were scanned.
     pub files_scanned: usize,
 }
 
@@ -358,7 +358,7 @@ mod tests {
     fn standard_registry_rule_names_are_unique_and_kebab() {
         let r = LintRegistry::standard();
         let names: Vec<&str> = r.lints().map(Lint::name).collect();
-        assert_eq!(names.len(), 11);
+        assert_eq!(names.len(), 7);
         let mut unique = names.clone();
         unique.sort_unstable();
         unique.dedup();
@@ -370,7 +370,7 @@ mod tests {
             );
             assert!(!lint.description().is_empty(), "{name} lacks a description");
         }
-        assert!(r.knows("no-panic-paths"));
+        assert!(r.knows("float-hygiene"));
         assert!(r.knows("atomic-ordering"));
         assert!(r.knows(ALLOW_AUDIT_RULE));
         assert!(!r.knows("no-such-rule"));
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn finding_display_is_editor_clickable() {
         let f = Finding {
-            rule: "no-panic-paths",
+            rule: "float-hygiene",
             path: "crates/x/src/lib.rs".into(),
             line: 7,
             col: 13,
@@ -406,7 +406,7 @@ mod tests {
         };
         assert_eq!(
             f.to_string(),
-            "crates/x/src/lib.rs:7:13: [no-panic-paths] boom"
+            "crates/x/src/lib.rs:7:13: [float-hygiene] boom"
         );
         let roster_level = Finding {
             line: 0,
@@ -415,7 +415,7 @@ mod tests {
         };
         assert_eq!(
             roster_level.to_string(),
-            "crates/x/src/lib.rs: [no-panic-paths] boom"
+            "crates/x/src/lib.rs: [float-hygiene] boom"
         );
     }
 }

@@ -347,7 +347,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `use path::{a, b as c};` — the whole path (space-joined) is the
-    /// item name; [`use_leaves`] expands it on demand.
+    /// item name.
     fn use_item(&mut self, span: Span) -> Item {
         self.pos += 1;
         let mut text = String::new();
@@ -887,72 +887,6 @@ fn split_args(code: &[&Token], open: usize, close: usize) -> Vec<(usize, usize)>
     args
 }
 
-/// Expands a `use` item's space-joined path text into
-/// `(leaf-name, full-path)` pairs: `std :: sync :: mpsc :: { channel ,
-/// Sender as Tx }` yields `("channel", "std::sync::mpsc::channel")` and
-/// `("Tx", "std::sync::mpsc::Sender")`. Globs contribute nothing.
-pub fn use_leaves(path_text: &str) -> Vec<(String, String)> {
-    fn expand(base: &str, segment: &str, out: &mut Vec<(String, String)>) {
-        let segment = segment.trim();
-        if segment.is_empty() || segment == "*" {
-            return;
-        }
-        if let Some(brace_at) = segment.find('{') {
-            let prefix = segment[..brace_at].trim().trim_end_matches("::").trim();
-            let inner = segment[brace_at + 1..]
-                .rsplit_once('}')
-                .map_or("", |(inner, _)| inner);
-            let joined = join_path(base, prefix);
-            // Split the group at depth-0 commas (groups can nest).
-            let mut depth = 0usize;
-            let mut piece_start = 0usize;
-            let bytes: Vec<char> = inner.chars().collect();
-            for (i, c) in bytes.iter().enumerate() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => depth = depth.saturating_sub(1),
-                    ',' if depth == 0 => {
-                        let piece: String = bytes[piece_start..i].iter().collect();
-                        expand(&joined, &piece, out);
-                        piece_start = i + 1;
-                    }
-                    _ => {}
-                }
-            }
-            let piece: String = bytes[piece_start..].iter().collect();
-            expand(&joined, &piece, out);
-            return;
-        }
-        let (path_part, alias) = match segment.split_once(" as ") {
-            Some((p, a)) => (p.trim(), Some(a.trim())),
-            None => (segment, None),
-        };
-        let full = join_path(base, path_part);
-        let leaf = alias.map_or_else(
-            || full.rsplit("::").next().unwrap_or(&full).to_string(),
-            str::to_string,
-        );
-        if !leaf.is_empty() && leaf != "*" {
-            out.push((leaf, full));
-        }
-    }
-
-    fn join_path(base: &str, rest: &str) -> String {
-        let rest = rest.split_whitespace().collect::<Vec<_>>().join("");
-        if base.is_empty() {
-            rest
-        } else if rest.is_empty() {
-            base.to_string()
-        } else {
-            format!("{base}::{rest}")
-        }
-    }
-
-    let mut out = Vec::new();
-    expand("", path_text, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1075,18 +1009,5 @@ mod tests {
         assert_eq!(sort.args.len(), 1, "closure commas must not split");
         let notify = calls.iter().find(|c| c.method == "notify_all").unwrap();
         assert_eq!(notify.chain, ["pool()", "wake"]);
-    }
-
-    #[test]
-    fn use_leaves_expand_groups_and_aliases() {
-        let leaves = use_leaves("std :: sync :: mpsc :: { channel , Sender as Tx }");
-        assert!(leaves.contains(&("channel".into(), "std::sync::mpsc::channel".into())));
-        assert!(leaves.contains(&("Tx".into(), "std::sync::mpsc::Sender".into())));
-        let plain = use_leaves("crate :: lexer :: tokenize");
-        assert_eq!(
-            plain,
-            [("tokenize".into(), "crate::lexer::tokenize".into())]
-        );
-        assert!(use_leaves("std :: collections :: *").is_empty());
     }
 }

@@ -247,24 +247,24 @@ mod tests {
 
     #[test]
     fn faithful_roster_passes() {
-        let ws = workspace_full(&[EXP_FILE], &[], Some(&faithful_roster()));
+        let ws = workspace_full(&[EXP_FILE], Some(&faithful_roster()));
         assert_eq!(DocSync.check(&ws), Vec::new());
     }
 
     #[test]
     fn missing_document_is_a_finding_only_with_experiments_present() {
-        let with = workspace_full(&[EXP_FILE], &[], None);
+        let with = workspace_full(&[EXP_FILE], None);
         assert!(DocSync
             .check(&with)
             .iter()
             .any(|f| f.message.contains("missing")));
-        let without = workspace_full(&[("crates/x/src/lib.rs", "fn f() {}")], &[], None);
+        let without = workspace_full(&[("crates/x/src/lib.rs", "fn f() {}")], None);
         assert!(DocSync.check(&without).is_empty());
     }
 
     #[test]
     fn missing_roster_section_is_a_finding() {
-        let ws = workspace_full(&[EXP_FILE], &[], Some("# EXPERIMENTS\n\nno roster here\n"));
+        let ws = workspace_full(&[EXP_FILE], Some("# EXPERIMENTS\n\nno roster here\n"));
         let found = DocSync.check(&ws);
         assert!(found.iter().any(|f| f.message.contains("Target roster")));
     }
@@ -282,7 +282,7 @@ mod tests {
             "something stale",
             1,
         );
-        let ws = workspace_full(&[EXP_FILE], &[], Some(&doc));
+        let ws = workspace_full(&[EXP_FILE], Some(&doc));
         assert!(DocSync
             .check(&ws)
             .iter()
@@ -291,7 +291,7 @@ mod tests {
         let mut doc = faithful_roster();
         let trimmed = doc.trim_end().rfind('\n').unwrap();
         doc.truncate(trimmed + 1);
-        let ws = workspace_full(&[EXP_FILE], &[], Some(&doc));
+        let ws = workspace_full(&[EXP_FILE], Some(&doc));
         assert!(DocSync
             .check(&ws)
             .iter()
@@ -302,7 +302,7 @@ mod tests {
     fn stale_accelwall_references_are_findings() {
         let mut doc = faithful_roster();
         doc.push_str("\nSee `accelwall fig99` for details, or `accelwall list`.\n");
-        let ws = workspace_full(&[EXP_FILE], &[], Some(&doc));
+        let ws = workspace_full(&[EXP_FILE], Some(&doc));
         let found = DocSync.check(&ws);
         assert_eq!(found.len(), 1);
         assert!(found[0].message.contains("fig99"));
@@ -313,7 +313,7 @@ mod tests {
     fn cli_verbs_are_not_stale_references() {
         let mut doc = faithful_roster();
         doc.push_str("\nRun `accelwall all`, `accelwall serve`, `accelwall lint`.\n");
-        let ws = workspace_full(&[EXP_FILE], &[], Some(&doc));
+        let ws = workspace_full(&[EXP_FILE], Some(&doc));
         assert!(DocSync.check(&ws).is_empty());
     }
 }

@@ -1,20 +1,16 @@
-//! `float-hygiene` — NaN-safe float handling in the numeric crates.
+//! `float-hygiene` — no exact float equality in the numeric crates.
 //!
 //! The paper's fits run in log space, where a single NaN poisons a whole
-//! regression, and the Pareto/ranking code sorts by float keys, where a
-//! NaN comparator panics or (worse) produces an inconsistent order. In
-//! the fitting/stats/projection crates this rule flags:
+//! regression. In the fitting/stats/projection crates this rule flags
+//! `==` / `!=` with a float-literal (or `NAN`/`INFINITY`) operand: exact
+//! float equality is almost always a bug; when an exact-zero guard is
+//! genuinely intended, say so with a justified allow.
 //!
-//! * `==` / `!=` with a float-literal (or `NAN`/`INFINITY`) operand —
-//!   exact float equality is almost always a bug; when an exact-zero
-//!   guard is genuinely intended, say so with a justified allow;
-//! * `partial_cmp(...)` immediately unwrapped or expected — the
-//!   NaN-unsafe sort-key idiom; use `f64::total_cmp` or handle `None`.
-//!
-//! The `partial_cmp` check additionally runs *workspace-wide* when the
-//! unwrap sits inside a `sort_by`/`sort_unstable_by`/`max_by`/`min_by`/
-//! `binary_search_by` comparator closure — a NaN there panics inside
-//! the sort no matter which crate hosts it.
+//! `clippy::float_cmp` is no substitute: it exempts comparisons against
+//! `0.0` and the infinities, which are exactly the guards this rule
+//! polices. NaN-unsafe `partial_cmp(..).unwrap()` sort keys are
+//! `clippy::unwrap_used` findings under the clippy gate in
+//! `tests/lint.rs`.
 
 use crate::lexer::TokenKind;
 use crate::workspace::Workspace;
@@ -28,23 +24,13 @@ const SCOPES: [&str; 3] = ["crates/stats", "crates/chipdb", "crates/projection"]
 
 const FLOAT_CONSTS: [&str; 3] = ["NAN", "INFINITY", "NEG_INFINITY"];
 
-/// Comparator-taking methods whose closure panicking mid-sort is a
-/// crash in whatever crate hosts the call.
-const COMPARATOR_METHODS: [&str; 5] = [
-    "sort_by",
-    "sort_unstable_by",
-    "max_by",
-    "min_by",
-    "binary_search_by",
-];
-
 impl Lint for FloatHygiene {
     fn name(&self) -> &'static str {
         "float-hygiene"
     }
 
     fn description(&self) -> &'static str {
-        "no float ==/!= and no NaN-unsafe partial_cmp().unwrap() in fitting/stats/projection code"
+        "no float ==/!= against a float literal or NAN/INFINITY in fitting/stats/projection code"
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
@@ -86,108 +72,10 @@ impl Lint for FloatHygiene {
                             });
                         }
                     }
-                    if t.is_ident("partial_cmp") && code.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    {
-                        if let Some(site) = nan_unsafe_consumer(&code, i + 1) {
-                            findings.push(Finding {
-                                rule: self.name(),
-                                path: file.rel_path.clone(),
-                                line: site.0,
-                                col: site.1,
-                                message: "NaN-unsafe sort key: `partial_cmp(..).unwrap()` \
-                                          panics on NaN; use `f64::total_cmp` or handle `None`"
-                                    .to_string(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Workspace-wide comparator-closure pass. Files under the
-        // numeric scopes are skipped: the pass above already flags
-        // every `partial_cmp(..).unwrap()` there, closure or not.
-        for file in &ws.files {
-            if file.test_file || SCOPES.iter().any(|s| file.rel_path.starts_with(s)) {
-                continue;
-            }
-            let code = file.code_tokens();
-            for (i, t) in code.iter().enumerate() {
-                if file.is_test_line(t.line)
-                    || !COMPARATOR_METHODS.contains(&t.text.as_str())
-                    || t.kind != TokenKind::Ident
-                    || !i.checked_sub(1).is_some_and(|p| code[p].is_punct("."))
-                    || !code.get(i + 1).is_some_and(|n| n.is_punct("("))
-                {
-                    continue;
-                }
-                let close = match_paren(&code, i + 1);
-                for j in i + 2..close {
-                    if code[j].is_ident("partial_cmp")
-                        && code.get(j + 1).is_some_and(|n| n.is_punct("("))
-                    {
-                        if let Some(site) = nan_unsafe_consumer(&code, j + 1) {
-                            findings.push(Finding {
-                                rule: self.name(),
-                                path: file.rel_path.clone(),
-                                line: site.0,
-                                col: site.1,
-                                message: format!(
-                                    "NaN-unsafe `{}` comparator: `partial_cmp(..).unwrap()` \
-                                     panics on NaN mid-sort; use `f64::total_cmp` or handle \
-                                     `None`",
-                                    t.text
-                                ),
-                            });
-                        }
-                    }
                 }
             }
         }
         findings
-    }
-}
-
-/// The index of the `)` matching the `(` at `open` (or the last index
-/// if unbalanced).
-fn match_paren(code: &[&crate::lexer::Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < code.len() {
-        if code[i].is_punct("(") {
-            depth += 1;
-        } else if code[i].is_punct(")") {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    code.len().saturating_sub(1)
-}
-
-/// Given the index of the `(` opening a `partial_cmp` call, returns the
-/// position of a directly chained `.unwrap()` / `.expect(...)`, if any.
-fn nan_unsafe_consumer(code: &[&crate::lexer::Token], open: usize) -> Option<(usize, usize)> {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < code.len() {
-        if code[i].is_punct("(") {
-            depth += 1;
-        } else if code[i].is_punct(")") {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        i += 1;
-    }
-    let dot = code.get(i + 1)?;
-    let method = code.get(i + 2)?;
-    if dot.is_punct(".") && (method.is_ident("unwrap") || method.is_ident("expect")) {
-        Some((method.line, method.col))
-    } else {
-        None
     }
 }
 
@@ -222,58 +110,10 @@ mod tests {
     }
 
     #[test]
-    fn flags_partial_cmp_unwrap_and_expect() {
-        let src = "fn f(v: &mut Vec<f64>) {\n\
-                   v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
-                   v.sort_by(|a, b| a.partial_cmp(b).expect(\"finite\"));\n\
-                   }\n";
-        let found = check_at("crates/chipdb/src/fit.rs", src);
-        assert_eq!(found.len(), 2);
-        assert!(found[0].message.contains("total_cmp"));
-    }
-
-    #[test]
-    fn total_cmp_and_handled_partial_cmp_pass() {
-        let src = "fn f(v: &mut Vec<f64>) {\n\
-                   v.sort_by(f64::total_cmp);\n\
-                   v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));\n\
-                   }\n";
-        assert!(check_at("crates/stats/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
     fn out_of_scope_crates_are_not_checked() {
         let src = "fn f(x: f64) -> bool { x == 0.0 }\n";
         assert!(check_at("crates/server/src/lib.rs", src).is_empty());
         assert!(check_at("src/bin/accelwall.rs", src).is_empty());
-    }
-
-    #[test]
-    fn flags_comparator_closures_workspace_wide() {
-        let src = "fn rank(v: &mut Vec<(String, f64)>) -> Option<&(String, f64)> {\n\
-                   v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());\n\
-                   v.iter().max_by(|a, b| a.1.partial_cmp(&b.1).expect(\"finite\"))\n\
-                   }\n";
-        let found = check_at("crates/server/src/lib.rs", src);
-        assert_eq!(found.len(), 2, "{found:?}");
-        assert!(found[0].message.contains("sort_by"));
-        assert!(found[0].message.contains("total_cmp"));
-        assert!(found[1].message.contains("max_by"));
-    }
-
-    #[test]
-    fn comparator_pass_does_not_double_count_in_scope_files() {
-        let src = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n";
-        assert_eq!(check_at("crates/stats/src/lib.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn total_cmp_comparators_pass_workspace_wide() {
-        let src = "fn f(v: &mut Vec<f64>) {\n\
-                   v.sort_by(f64::total_cmp);\n\
-                   v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));\n\
-                   }\n";
-        assert!(check_at("crates/server/src/lib.rs", src).is_empty());
     }
 
     #[test]

@@ -6,21 +6,17 @@
 //! "Static analysis" section of `DESIGN.md`.
 
 pub mod atomic_ordering;
-pub mod bounded_channel;
-pub mod dep_free;
 pub mod determinism;
 pub mod doc_sync;
 pub mod fault_sites;
 pub mod float_hygiene;
 pub mod lock_order;
-pub mod no_exit;
-pub mod panic_paths;
 pub mod registry_sync;
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use crate::source::SourceFile;
-    use crate::workspace::{Manifest, Workspace};
+    use crate::workspace::Workspace;
     use std::path::{Path, PathBuf};
 
     /// A synthetic in-memory workspace built from `(path, source)` pairs.
@@ -37,26 +33,14 @@ pub(crate) mod testutil {
                     )
                 })
                 .collect(),
-            manifests: Vec::new(),
             experiments_md: None,
             design_md: None,
         }
     }
 
-    /// Same, with manifests and an EXPERIMENTS.md.
-    pub fn workspace_full(
-        files: &[(&str, &str)],
-        manifests: &[(&str, &str)],
-        experiments_md: Option<&str>,
-    ) -> Workspace {
+    /// Same, with an EXPERIMENTS.md.
+    pub fn workspace_full(files: &[(&str, &str)], experiments_md: Option<&str>) -> Workspace {
         let mut ws = workspace(files);
-        ws.manifests = manifests
-            .iter()
-            .map(|(rel, text)| Manifest {
-                rel_path: (*rel).to_string(),
-                text: (*text).to_string(),
-            })
-            .collect();
         ws.experiments_md = experiments_md.map(str::to_string);
         ws
     }

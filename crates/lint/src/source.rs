@@ -2,15 +2,14 @@
 //! which lines are test-only code, and where `// lint:allow` escape
 //! hatches sit.
 //!
-//! Test scope matters because the repo policy the `no-panic-paths` rule
-//! enforces ("no `unwrap` outside tests") is about *shipping* code:
+//! Test scope matters because the rules police *shipping* code:
 //! `#[cfg(test)]` items, `mod tests` bodies, and `#[test]` functions are
 //! exempt, as are whole files that live under `tests/`, `benches/`, or
 //! `examples/`.
 //!
 //! The escape hatch is deliberately noisy to use: an allow comment must
 //! name the rule it silences *and* carry a justification after a colon —
-//! `// lint:allow(no-panic-paths): writes to a String cannot fail`.
+//! `// lint:allow(float-hygiene): an exact-zero guard, not a tolerance`.
 //! A bare `// lint:allow(rule)` is itself a finding, so suppressions
 //! stay reviewable instead of accreting silently.
 
@@ -343,12 +342,12 @@ mod tests {
 
     #[test]
     fn allows_parse_rule_and_justification() {
-        let src = "x(); // lint:allow(no-panic-paths): provably infallible\n\
+        let src = "x(); // lint:allow(determinism): order-insensitive sum\n\
                    y(); // lint:allow(float-hygiene)\n";
         let f = file("crates/x/src/lib.rs", src);
         assert_eq!(f.allows.len(), 2);
-        assert_eq!(f.allows[0].rule, "no-panic-paths");
-        assert_eq!(f.allows[0].justification, "provably infallible");
+        assert_eq!(f.allows[0].rule, "determinism");
+        assert_eq!(f.allows[0].justification, "order-insensitive sum");
         assert_eq!(f.allows[0].line, 1);
         assert!(f.allows[1].justification.is_empty());
     }

@@ -1,15 +1,12 @@
 //! A per-crate symbol index distilled from the parsed item trees.
 //!
 //! The semantic rules reason about identity across files of one crate:
-//! `atomic-ordering` groups sites by atomic *field*, `determinism`
-//! needs to know which struct fields are `HashMap`s, `bounded-channel`
-//! resolves a bare `channel(...)` call through the file's `use` map.
+//! `atomic-ordering` groups sites by atomic *field*, and `determinism`
+//! needs to know which struct fields are `HashMap`s.
 //! This module builds that context once per [`Workspace`] from the
 //! [`crate::ast`] trees — no re-lexing, no re-parsing.
 
 use crate::ast::ItemKind;
-use crate::parser::use_leaves;
-use crate::source::SourceFile;
 use crate::workspace::Workspace;
 use std::collections::BTreeMap;
 
@@ -91,19 +88,6 @@ impl SymbolIndex {
     }
 }
 
-/// The file's import map: leaf name (or alias) → full `use` path.
-pub fn use_map(file: &SourceFile) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
-    for item in file.parsed.walk() {
-        if item.kind == ItemKind::Use {
-            for (leaf, full) in use_leaves(&item.name) {
-                map.insert(leaf, full);
-            }
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,18 +119,5 @@ mod tests {
         assert_eq!(index.type_of("par", "JOBS"), Some("AtomicU64"));
         assert_eq!(index.type_of("par", "size"), Some("usize"));
         assert!(index.type_of("server", "cursor").is_none());
-    }
-
-    #[test]
-    fn use_map_resolves_leaves() {
-        let ws = workspace(&[(
-            "crates/x/src/lib.rs",
-            "use std::sync::mpsc::{channel, Sender};\nfn f() {}\n",
-        )]);
-        let map = use_map(&ws.files[0]);
-        assert_eq!(
-            map.get("channel").map(String::as_str),
-            Some("std::sync::mpsc::channel")
-        );
     }
 }

@@ -1,10 +1,9 @@
 //! Workspace discovery and loading.
 //!
 //! The linter operates on the checkout, not on compiled artifacts: it
-//! walks the workspace root, lexes every `.rs` file, keeps every
-//! `Cargo.toml` raw (the `dep-free` rule parses the little TOML it needs
-//! itself), and reads `EXPERIMENTS.md` for the `doc-sync` rule and
-//! `DESIGN.md` for the `registry-sync` route-table check.
+//! walks the workspace root, lexes every `.rs` file, and reads
+//! `EXPERIMENTS.md` for the `doc-sync` rule and `DESIGN.md` for the
+//! `registry-sync` route-table check.
 //! Build output (`target/`), VCS metadata, and hidden directories are
 //! skipped.
 
@@ -13,15 +12,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A raw `Cargo.toml`.
-#[derive(Debug)]
-pub struct Manifest {
-    /// Path relative to the workspace root, with `/` separators.
-    pub rel_path: String,
-    /// The raw TOML text.
-    pub text: String,
-}
-
 /// Everything the lints look at, loaded once.
 #[derive(Debug)]
 pub struct Workspace {
@@ -29,8 +19,6 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Every lexed `.rs` file, sorted by path.
     pub files: Vec<SourceFile>,
-    /// Every `Cargo.toml`, sorted by path.
-    pub manifests: Vec<Manifest>,
     /// `EXPERIMENTS.md`, when present.
     pub experiments_md: Option<String>,
     /// `DESIGN.md`, when present.
@@ -71,16 +59,13 @@ impl Workspace {
     /// An [`io::Error`] when a directory or file cannot be read.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
-        let mut manifests = Vec::new();
-        walk(root, root, &mut files, &mut manifests)?;
+        walk(root, root, &mut files)?;
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        manifests.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         let experiments_md = fs::read_to_string(root.join("EXPERIMENTS.md")).ok();
         let design_md = fs::read_to_string(root.join("DESIGN.md")).ok();
         Ok(Workspace {
             root: root.to_path_buf(),
             files,
-            manifests,
             experiments_md,
             design_md,
         })
@@ -96,12 +81,7 @@ impl Workspace {
     }
 }
 
-fn walk(
-    root: &Path,
-    dir: &Path,
-    files: &mut Vec<SourceFile>,
-    manifests: &mut Vec<Manifest>,
-) -> io::Result<()> {
+fn walk(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -111,12 +91,7 @@ fn walk(
             if name.starts_with('.') || name == "target" {
                 continue;
             }
-            walk(root, &path, files, manifests)?;
-        } else if name == "Cargo.toml" {
-            manifests.push(Manifest {
-                rel_path: rel(root, &path),
-                text: fs::read_to_string(&path)?,
-            });
+            walk(root, &path, files)?;
         } else if name.ends_with(".rs") {
             let text = fs::read_to_string(&path)?;
             files.push(SourceFile::new(rel(root, &path), path, text));
@@ -149,10 +124,6 @@ mod tests {
             .files
             .iter()
             .any(|f| f.rel_path == "crates/lint/src/workspace.rs"));
-        assert!(ws
-            .manifests
-            .iter()
-            .any(|m| m.rel_path == "crates/lint/Cargo.toml"));
         assert!(!ws.files.iter().any(|f| f.rel_path.starts_with("target/")));
         assert!(ws.experiments_md.is_some());
         assert!(ws.design_md.is_some());

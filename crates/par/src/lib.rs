@@ -457,7 +457,10 @@ where
             let mut task = lock(&carried).take();
             while let Some(run) = task.take() {
                 run();
-                // lint:allow(bounded-channel): carrier handoff holds at most one task by construction — each sender is single-use, consumed when an idle spawner is claimed
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "carrier handoff holds at most one task by construction — each sender is single-use, consumed when an idle spawner is claimed"
+                )]
                 let (sender, receiver) = channel::<Task>();
                 lock(&IDLE_SPAWNERS).push(sender);
                 task = receiver.recv_timeout(SPAWN_KEEPALIVE).ok();

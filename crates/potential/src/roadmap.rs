@@ -63,12 +63,16 @@ pub fn physical_roadmap(
 /// The year after which the physical roadmap is flat (the final node's
 /// introduction): 2021 under the IRDS projection the paper used.
 pub fn scaling_end_year() -> u32 {
-    TechNode::all()
+    #[expect(
+        clippy::expect_used,
+        reason = "TechNode::all() is a non-empty static table (asserted in cmos tests)"
+    )]
+    let year = TechNode::all()
         .iter()
         .map(|n| n.intro_year())
         .max()
-        // lint:allow(no-panic-paths): TechNode::all() is a non-empty static table (asserted in cmos tests)
-        .expect("node table is non-empty")
+        .expect("node table is non-empty");
+    year
 }
 
 #[cfg(test)]

@@ -267,11 +267,12 @@ fn all_fpga_rows() -> Vec<fpga::FpgaImpl> {
 /// A board's TDP-capped switching budget (B-transistors × GHz) from its
 /// node group law.
 fn fpga_budget(r: &fpga::FpgaImpl) -> f64 {
-    NodeGroup::of(r.node)
-        // lint:allow(no-panic-paths): the FPGA dataset is a static table whose nodes (28/20 nm) all map to a group; covered by the fig8 study tests
-        .expect("FPGA nodes are 28/20 nm")
-        .paper_tdp_law()
-        .eval(r.power_w)
+    #[expect(
+        clippy::expect_used,
+        reason = "the FPGA dataset is a static table whose nodes (28/20 nm) all map to a group; covered by the fig8 study tests"
+    )]
+    let group = NodeGroup::of(r.node).expect("FPGA nodes are 28/20 nm");
+    group.paper_tdp_law().eval(r.power_w)
 }
 
 #[cfg(test)]

@@ -192,7 +192,10 @@ impl QueryEngine {
     }
 
     fn execute_point(&self, spec: &QuerySpec) -> Result<Value, QueryError> {
-        // lint:allow(no-panic-paths): from_pairs' applicability check requires workload for point specs
+        #[expect(
+            clippy::expect_used,
+            reason = "from_pairs' applicability check requires workload for point specs"
+        )]
         let workload = spec.workload.expect("validated: point requires workload");
         let config = DesignConfig::new(
             spec.node,
@@ -218,7 +221,10 @@ impl QueryEngine {
     }
 
     fn execute_sweep(&self, spec: &QuerySpec) -> Result<Value, QueryError> {
-        // lint:allow(no-panic-paths): from_pairs' applicability check requires workload for sweep specs
+        #[expect(
+            clippy::expect_used,
+            reason = "from_pairs' applicability check requires workload for sweep specs"
+        )]
         let workload = spec.workload.expect("validated: sweep requires workload");
         let ctx = self.artifacts.ctx();
         let points = ctx.sweep(workload)?;
@@ -291,7 +297,10 @@ fn point_json(point: &SweepPoint) -> Value {
 }
 
 fn execute_projection(spec: &QuerySpec) -> Result<Value, QueryError> {
-    // lint:allow(no-panic-paths): from_pairs' applicability check requires domain for projections
+    #[expect(
+        clippy::expect_used,
+        reason = "from_pairs' applicability check requires domain for projections"
+    )]
     let domain = spec.domain.expect("validated: projection requires domain");
     let mut input =
         projection_input(domain, spec.metric).map_err(accelerator_wall::error::Error::from)?;
@@ -322,9 +331,15 @@ fn execute_projection(spec: &QuerySpec) -> Result<Value, QueryError> {
 }
 
 fn execute_csr(spec: &QuerySpec) -> Result<Value, QueryError> {
-    // lint:allow(no-panic-paths): from_pairs' applicability check requires reported for csr specs
+    #[expect(
+        clippy::expect_used,
+        reason = "from_pairs' applicability check requires reported for csr specs"
+    )]
     let reported = spec.reported.expect("validated: csr requires reported");
-    // lint:allow(no-panic-paths): from_pairs' applicability check requires physical for csr specs
+    #[expect(
+        clippy::expect_used,
+        reason = "from_pairs' applicability check requires physical for csr specs"
+    )]
     let physical = spec.physical.expect("validated: csr requires physical");
     if let Some(base) = spec.physical_base {
         let d = accelwall_csr::decompose(reported, physical, base)

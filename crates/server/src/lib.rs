@@ -130,9 +130,6 @@ pub struct ServerConfig {
     /// thread closes it (keep-alive harvest; slowloris protection), and
     /// how long an idle thread waits to accept again before exiting.
     pub idle_timeout: Duration,
-    /// Byte cap on the pre-serialized response cache (the warm path for
-    /// `GET`s).
-    pub response_cache_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -146,7 +143,6 @@ impl Default for ServerConfig {
             query_cache_bytes: accelwall_query::engine::DEFAULT_CACHE_BYTES,
             max_connections: 1024,
             idle_timeout: Duration::from_secs(5),
-            response_cache_bytes: 4 * 1024 * 1024,
         }
     }
 }
@@ -237,7 +233,7 @@ impl Server {
             shared: Arc::new(Shared {
                 listener,
                 addr,
-                respcache: ResponseCache::new(config.response_cache_bytes),
+                respcache: ResponseCache::new(respcache::CAPACITY_BYTES),
                 gate: Gate::new(config.workers, config.backlog),
                 config,
                 cache,

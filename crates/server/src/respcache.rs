@@ -88,6 +88,9 @@ struct Inner {
     evictions: u64,
 }
 
+/// The byte cap the server gives its response cache.
+pub const CAPACITY_BYTES: usize = 4 * 1024 * 1024;
+
 /// The cache itself: one mutex over a flat entry list (see module docs
 /// for why that is enough).
 pub struct ResponseCache {

@@ -102,9 +102,12 @@ impl Matrix {
 
         for col in 0..n {
             // Partial pivot: find the largest |a[r][col]| for r >= col.
+            #[expect(
+                clippy::expect_used,
+                reason = "col < n, so the range col..n is never empty"
+            )]
             let pivot_row = (col..n)
                 .max_by(|&r1, &r2| a[r1 * n + col].abs().total_cmp(&a[r2 * n + col].abs()))
-                // lint:allow(no-panic-paths): col < n, so the range col..n is never empty
                 .expect("non-empty pivot range");
             if a[pivot_row * n + col].abs() < 1e-12 {
                 return Err(StatsError::Singular);

@@ -72,7 +72,7 @@ impl Miner {
 /// then five generations of ASICs racing down the node ladder.
 pub fn miners() -> Vec<Miner> {
     // (name, platform, node, GH/s, W, mm², (year, month), GHz)
-    #[allow(clippy::type_complexity)] // literal datasheet rows
+    #[allow(clippy::type_complexity, reason = "literal datasheet rows")]
     let rows: [(&str, Platform, TechNode, f64, f64, f64, (u32, u32), f64); 14] = [
         (
             "Athlon 64 3400+",

@@ -72,7 +72,7 @@ impl FpgaImpl {
 /// The AlexNet implementations (11 rows, Fig. 8 left column).
 pub fn alexnet_impls() -> Vec<FpgaImpl> {
     // (label, device, node, GOPS, W, LUT%, DSP%, BRAM%, MHz, device DSPs)
-    #[allow(clippy::type_complexity)] // literal datasheet rows
+    #[allow(clippy::type_complexity, reason = "literal datasheet rows")]
     let rows: [(&str, &str, TechNode, f64, f64, f64, f64, f64, f64, f64); 11] = [
         (
             "FPGA2015",
@@ -212,7 +212,7 @@ pub fn alexnet_impls() -> Vec<FpgaImpl> {
 
 /// The VGG-16 implementations (9 rows, Fig. 8 right column).
 pub fn vgg16_impls() -> Vec<FpgaImpl> {
-    #[allow(clippy::type_complexity)] // literal datasheet rows
+    #[allow(clippy::type_complexity, reason = "literal datasheet rows")]
     let rows: [(&str, &str, TechNode, f64, f64, f64, f64, f64, f64, f64); 9] = [
         (
             "FPGA2016",
@@ -326,7 +326,7 @@ pub fn vgg16_impls() -> Vec<FpgaImpl> {
     build(CnnModel::Vgg16, &rows)
 }
 
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "literal datasheet rows")]
 fn build(
     model: CnnModel,
     rows: &[(

@@ -74,7 +74,7 @@ impl GpuChip {
 pub fn gpu_chips() -> Vec<GpuChip> {
     // (name, arch, node, transistors, MHz, TDP, year, tier)
     use GpuTier::{HighEnd as H, MidRange as M};
-    #[allow(clippy::type_complexity)] // literal datasheet rows
+    #[allow(clippy::type_complexity, reason = "literal datasheet rows")]
     let rows: [(&str, &str, TechNode, f64, f64, f64, u32, GpuTier); 22] = [
         (
             "GeForce 8800 GT",
@@ -451,11 +451,14 @@ pub fn frame_rate(gpu: &GpuChip, game: &Game) -> Option<f64> {
     if !is_benchmarked(gpu, game) {
         return None;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "the static GPU dataset has a high-end chip in every benchmark window; dataset tests pin this"
+    )]
     let oldest = gpu_chips()
         .into_iter()
         .filter(|g| g.tier == GpuTier::HighEnd && is_benchmarked(g, game))
         .min_by_key(|g| g.year)
-        // lint:allow(no-panic-paths): the static GPU dataset has a high-end chip in every benchmark window; dataset tests pin this
         .expect("window contains a high-end gpu");
     let physical = gpu.physical_throughput() / oldest.physical_throughput();
     let csr = csr_trajectory(gpu.year) / csr_trajectory(oldest.year);
@@ -515,10 +518,13 @@ fn series(
         .filter_map(|g| metric(&g, game).map(|v| (g, v)))
         .collect();
     tested.sort_by_key(|(g, _)| g.year);
+    #[expect(
+        clippy::expect_used,
+        reason = "the static GPU dataset benchmarks a high-end chip for every game; dataset tests pin this"
+    )]
     let (base_gpu, base_value) = tested
         .iter()
         .find(|(g, _)| g.tier == GpuTier::HighEnd)
-        // lint:allow(no-panic-paths): the static GPU dataset benchmarks a high-end chip for every game; dataset tests pin this
         .expect("every game has a high-end GPU")
         .clone();
     let rows = tested

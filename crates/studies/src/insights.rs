@@ -105,7 +105,10 @@ fn platform_insight() -> Result<Insight> {
 
 fn confined_insight() -> Result<Insight> {
     let asics = bitcoin::fig1_series()?;
-    // lint:allow(no-panic-paths): fig1_series() validates its rows and never returns an empty series
+    #[expect(
+        clippy::expect_used,
+        reason = "fig1_series() validates its rows and never returns an empty series"
+    )]
     let final_csr = asics.rows.last().expect("non-empty").csr;
     let evidence = vec![
         ("ASIC-era CSR (total)".to_string(), final_csr),
@@ -132,12 +135,15 @@ fn transistor_insight() -> Result<Insight> {
     let mut holds = true;
     let share = |reported: f64, physical: f64| physical.ln() / reported.ln();
     let video = video::performance_series()?;
+    #[expect(
+        clippy::expect_used,
+        reason = "CsrSeries construction rejects empty observation sets"
+    )]
     let best = |s: &accelwall_csr::CsrSeries| {
         s.rows
             .iter()
             .cloned()
             .max_by(|a, b| a.reported_gain.total_cmp(&b.reported_gain))
-            // lint:allow(no-panic-paths): CsrSeries construction rejects empty observation sets
             .expect("non-empty")
     };
     let v = best(&video);

@@ -56,7 +56,7 @@ pub fn decoder_chips() -> Vec<DecoderChip> {
     // STB; [33] Zhou ISSCC'12 Super Hi-Vision; [34] Tikekar ISSCC'13 HEVC;
     // [35] Ju ESSCIRC'14 0.2 nJ/pixel; [36] Ju JSSC'16 codec LSI;
     // [37] Ju ESSCIRC'16 VP9; [38] Zhou JSSC'17 8K HEVC.
-    #[allow(clippy::type_complexity)] // literal datasheet rows
+    #[allow(clippy::type_complexity, reason = "literal datasheet rows")]
     let rows: [(&str, TechNode, f64, f64, f64, Option<f64>, f64, f64); 12] = [
         (
             "ISSCC2006",

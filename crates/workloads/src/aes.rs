@@ -102,8 +102,7 @@ pub fn build(rounds: usize) -> Dfg {
     for (i, &s) in state.iter().enumerate() {
         b.output(format!("ct{i}"), s);
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("aes graph is structurally valid")
+    crate::finish(b)
 }
 
 fn add_round_key(b: &mut DfgBuilder, state: &[NodeId], round: usize) -> Vec<NodeId> {
@@ -149,7 +148,10 @@ pub fn key_schedule(key: &[u8; 16]) -> [[u8; 16]; 11] {
 
 /// Reference AES encryption with `rounds` rounds over the given round keys
 /// (10 rounds + FIPS key schedule = standard AES-128).
-#[allow(clippy::needless_range_loop)] // rounds index two coupled tables
+#[allow(
+    clippy::needless_range_loop,
+    reason = "rounds index two coupled tables"
+)]
 pub fn aes_reference(block: &[u8; 16], round_keys: &[[u8; 16]], rounds: usize) -> [u8; 16] {
     let xt = xtime_table();
     let mut state = *block;

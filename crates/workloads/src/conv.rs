@@ -40,8 +40,7 @@ pub fn build_direct() -> Dfg {
             b.output(format!("y{out_r}_{out_c}"), sum);
         }
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("direct conv graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Winograd F(2×2, 3×3): inputs `d{r}_{c}` (4×4 tile) and the
@@ -111,8 +110,7 @@ pub fn build_winograd() -> Dfg {
         b.output(format!("y{r}_0"), out[0]);
         b.output(format!("y{r}_1"), out[1]);
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("winograd graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference direct convolution of a 4×4 tile with a 3×3 filter (valid).

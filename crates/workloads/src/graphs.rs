@@ -122,8 +122,7 @@ fn build_relaxation(
     for (v, &d) in dist.iter().enumerate() {
         b.output(format!("dist{v}"), d);
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("relaxation graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference relaxation sweeps (unit costs = BFS; else Bellman-Ford).

@@ -41,7 +41,7 @@ pub mod sorting;
 pub mod stencil;
 pub mod video;
 
-use accelwall_dfg::Dfg;
+use accelwall_dfg::{Dfg, DfgBuilder};
 use std::fmt;
 
 /// The 16 evaluated applications of Table IV.
@@ -268,6 +268,18 @@ impl fmt::Display for Workload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.abbrev())
     }
+}
+
+/// Finalizes a generator's graph; a failure panics at the generator's
+/// call site.
+#[track_caller]
+fn finish(b: DfgBuilder) -> Dfg {
+    #[expect(
+        clippy::expect_used,
+        reason = "generators assemble their graphs from static structure; build() only fails on programming errors, which this crate's tests catch"
+    )]
+    let dfg = b.build().expect("workload graph is structurally valid");
+    dfg
 }
 
 #[cfg(test)]

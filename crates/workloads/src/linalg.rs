@@ -11,7 +11,7 @@ use accelwall_dfg::{Dfg, DfgBuilder, NodeId, Op};
 /// # Panics
 ///
 /// Panics if `n == 0`.
-#[allow(clippy::needless_range_loop)] // i/j index two coupled matrices
+#[allow(clippy::needless_range_loop, reason = "i/j index two coupled matrices")]
 pub fn build_gmm(n: usize) -> Dfg {
     assert!(n > 0, "matrix dimension must be positive");
     let mut b = DfgBuilder::new(format!("gmm_n{n}"));
@@ -30,8 +30,7 @@ pub fn build_gmm(n: usize) -> Dfg {
             b.output(format!("c{i}_{j}"), dot);
         }
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("gmm graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference dense matrix multiply.
@@ -83,8 +82,7 @@ pub fn build_smv(n: usize, nnz_per_row: usize) -> Dfg {
         let dot = b.reduce(Op::Add, &prods);
         b.output(format!("y{i}"), dot);
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("smv graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference SpMV over the same pattern; `values[i]` pairs with
@@ -120,8 +118,7 @@ pub fn build_knn(m: usize, dim: usize) -> Dfg {
     }
     let best = b.reduce(Op::Min, &dists);
     b.output("best", best);
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("knn graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference 1-NN squared distance.

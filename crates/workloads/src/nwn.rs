@@ -19,7 +19,10 @@ use accelwall_dfg::{Dfg, DfgBuilder, NodeId, Op};
 /// # Panics
 ///
 /// Panics if `m == 0` or `n == 0`.
-#[allow(clippy::needless_range_loop)] // wavefront indexes the DP matrix
+#[allow(
+    clippy::needless_range_loop,
+    reason = "wavefront indexes the DP matrix"
+)]
 pub fn build(m: usize, n: usize) -> Dfg {
     assert!(m > 0 && n > 0, "sequences must be non-empty");
     let mut b = DfgBuilder::new(format!("nwn_{m}x{n}"));
@@ -46,8 +49,7 @@ pub fn build(m: usize, n: usize) -> Dfg {
         b.output(format!("hrow{j}"), h[m][j]);
     }
     b.output("score", h[m][n]);
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("nwn graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference NW scoring matrix; returns `H` of shape `(m+1) × (n+1)`.

@@ -14,7 +14,7 @@ use accelwall_dfg::{Dfg, DfgBuilder, NodeId, Op};
 /// # Panics
 ///
 /// Panics if either layer is empty.
-#[allow(clippy::needless_range_loop)] // i/j index the weight matrix
+#[allow(clippy::needless_range_loop, reason = "i/j index the weight matrix")]
 pub fn build(visible: usize, hidden: usize) -> Dfg {
     assert!(visible > 0 && hidden > 0, "RBM layers must be non-empty");
     let mut b = DfgBuilder::new(format!("rbm_v{visible}_h{hidden}"));
@@ -34,13 +34,12 @@ pub fn build(visible: usize, hidden: usize) -> Dfg {
         let act = b.op(Op::Sigmoid, &[pre]);
         b.output(format!("h{j}"), act);
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("rbm graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference hidden-layer inference; `weights[i][j]` couples visible `i` to
 /// hidden `j`.
-#[allow(clippy::needless_range_loop)] // i/j index the weight matrix
+#[allow(clippy::needless_range_loop, reason = "i/j index the weight matrix")]
 pub fn rbm_reference(v: &[f64], weights: &[Vec<f64>], biases: &[f64]) -> Vec<f64> {
     (0..biases.len())
         .map(|j| {

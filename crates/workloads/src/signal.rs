@@ -71,8 +71,7 @@ pub fn build_fft(n: usize) -> Dfg {
         b.output(format!("Xre{i}"), re[i]);
         b.output(format!("Xim{i}"), im[i]);
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("fft network is structurally valid")
+    crate::finish(b)
 }
 
 /// The twiddle factor the network expects at stage `s`, butterfly `k`

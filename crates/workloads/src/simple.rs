@@ -21,8 +21,7 @@ pub fn build_triad(n: usize) -> Dfg {
         let a = b.op(Op::Add, &[bi, m]);
         b.output(format!("a{i}"), a);
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("triad graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference triad kernel.
@@ -41,8 +40,7 @@ pub fn build_reduction(n: usize) -> Dfg {
     let xs: Vec<_> = (0..n).map(|i| b.input(format!("x{i}"))).collect();
     let sum = b.reduce(Op::Add, &xs);
     b.output("sum", sum);
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("reduction graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference reduction kernel.

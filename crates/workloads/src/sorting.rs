@@ -49,8 +49,7 @@ pub fn build_bitonic(n: usize) -> Dfg {
     for (i, &w) in wires.iter().enumerate() {
         b.output(format!("y{i}"), w);
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("bitonic network is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference sort.

@@ -31,8 +31,7 @@ pub fn build_2d(rows: usize, cols: usize) -> Dfg {
             b.output(format!("o{r}_{c}"), sum);
         }
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("2D stencil graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference 9-point 2D stencil.
@@ -93,8 +92,7 @@ pub fn build_3d(nx: usize, ny: usize, nz: usize) -> Dfg {
             }
         }
     }
-    // lint:allow(no-panic-paths): the graph is assembled from static structure above; build() only fails on programming errors, which this crate's tests catch
-    b.build().expect("3D stencil graph is structurally valid")
+    crate::finish(b)
 }
 
 /// Reference 27-point 3D stencil; `lattice[x][y][z]`, weights in

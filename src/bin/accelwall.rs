@@ -57,8 +57,46 @@ use accelerator_wall::experiments::dfg::dot_artifact;
 use accelerator_wall::json::Value;
 use accelerator_wall::prelude::{ArtifactCache, Ctx, Registry};
 use accelwall_server::{Server, ServerConfig};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+
+/// Writes the CLI's output to stdout. A reader that closes the pipe
+/// early (`accelwall all | head -1`) has all it wanted, so the process
+/// ends quietly with status 0; any other write error ends it with
+/// status 1. (`print!` panics on both.)
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let Err(e) = std::io::stdout().lock().write_fmt(args) else {
+        return;
+    };
+    let code = if e.kind() == ErrorKind::BrokenPipe {
+        0
+    } else {
+        eprintln!("accelwall: cannot write to stdout: {e}");
+        1
+    };
+    #[expect(
+        clippy::exit,
+        reason = "with stdout gone there is no caller left to hand the error to; ending here keeps every output site a one-line call"
+    )]
+    std::process::exit(code);
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
 
 /// Every flag the CLI accepts, with its value shape — the "roster" the
 /// unknown-flag error prints, mirroring the unknown-target error.
@@ -225,16 +263,16 @@ fn main() -> ExitCode {
     match args.target.as_deref() {
         None | Some("list") => {
             if args.json {
-                println!("{}", registry.roster_json().pretty());
+                outln!("{}", registry.roster_json().pretty());
             } else {
-                println!("regeneration targets:");
+                outln!("regeneration targets:");
                 for e in registry.experiments() {
-                    println!("  {:<12} {}", e.id(), e.description());
+                    outln!("  {:<12} {}", e.id(), e.description());
                 }
-                println!("  {:<12} run every target above", "all");
-                println!("  {:<12} answer an ad-hoc what-if spec", "query");
-                println!("  {:<12} serve artifacts over HTTP", "serve");
-                println!("  {:<12} check workspace invariants", "lint");
+                outln!("  {:<12} run every target above", "all");
+                outln!("  {:<12} answer an ad-hoc what-if spec", "query");
+                outln!("  {:<12} serve artifacts over HTTP", "serve");
+                outln!("  {:<12} check workspace invariants", "lint");
             }
             ExitCode::SUCCESS
         }
@@ -248,9 +286,9 @@ fn main() -> ExitCode {
             match dot_artifact(&which) {
                 Ok(artifact) => {
                     if args.json {
-                        println!("{}", artifact.json.pretty());
+                        outln!("{}", artifact.json.pretty());
                     } else {
-                        print!("{}", artifact.text);
+                        out!("{}", artifact.text);
                     }
                     ExitCode::SUCCESS
                 }
@@ -264,9 +302,9 @@ fn main() -> ExitCode {
             Ok(experiment) => match experiment.run(&Ctx::new()) {
                 Ok(artifact) => {
                     if args.json {
-                        println!("{}", artifact.json.pretty());
+                        outln!("{}", artifact.json.pretty());
                     } else {
-                        print!("{}", artifact.text);
+                        out!("{}", artifact.text);
                     }
                     ExitCode::SUCCESS
                 }
@@ -302,7 +340,7 @@ fn query(raw: &[String]) -> ExitCode {
             eprintln!("--schema takes no other arguments");
             return ExitCode::FAILURE;
         }
-        println!("{}", QueryEngine::schema().pretty());
+        outln!("{}", QueryEngine::schema().pretty());
         return ExitCode::SUCCESS;
     }
     let mut pairs = Vec::new();
@@ -337,7 +375,7 @@ fn query(raw: &[String]) -> ExitCode {
     let engine = QueryEngine::new(std::sync::Arc::new(cache), 0);
     match engine.answer(&spec) {
         Ok(body) => {
-            print!("{}", String::from_utf8_lossy(&body));
+            out!("{}", String::from_utf8_lossy(&body));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -370,11 +408,11 @@ fn lint(args: &Args) -> ExitCode {
                     ("description", Value::from(*description)),
                 ])
             }));
-            println!("{}", doc.pretty());
+            outln!("{}", doc.pretty());
         } else {
-            println!("lint rules:");
+            outln!("lint rules:");
             for (name, description) in roster {
-                println!("  {name:<16} {description}");
+                outln!("  {name:<16} {description}");
             }
         }
         return ExitCode::SUCCESS;
@@ -397,9 +435,9 @@ fn lint(args: &Args) -> ExitCode {
     match report {
         Ok(report) => {
             if args.json {
-                println!("{}", report.to_json().pretty());
+                outln!("{}", report.to_json().pretty());
             } else {
-                print!("{report}");
+                out!("{report}");
             }
             if report.is_clean() {
                 ExitCode::SUCCESS
@@ -470,17 +508,17 @@ fn serve(registry: Registry, args: &Args) -> ExitCode {
     // One parseable line so scripts (and the integration tests) can
     // discover the resolved port when binding to port 0. Keep it FIRST:
     // the fault banner below must never displace it.
-    println!(
+    outln!(
         "accelwall serve listening on http://{} ({workers} workers)",
         server.local_addr()
     );
     if let Some(plan) = armed {
-        println!("accelwall serve armed fault plan: {plan}");
+        outln!("accelwall serve armed fault plan: {plan}");
     }
     let _ = std::io::stdout().flush();
     match server.run() {
         Ok(()) => {
-            println!("accelwall serve drained cleanly");
+            outln!("accelwall serve drained cleanly");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -513,18 +551,18 @@ fn run_all(registry: &Registry, json: bool) -> ExitCode {
             };
             (*id, v)
         }));
-        println!("{}", doc.pretty());
+        outln!("{}", doc.pretty());
     } else {
         for (id, r) in &results {
-            println!("=== {id} ===");
+            outln!("=== {id} ===");
             match r {
-                Ok(artifact) => print!("{}", artifact.text),
+                Ok(artifact) => out!("{}", artifact.text),
                 Err(e) => {
                     failed = true;
                     eprintln!("{id} failed: {e}");
                 }
             }
-            println!();
+            outln!();
         }
     }
     if failed {

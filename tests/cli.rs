@@ -1,12 +1,13 @@
 //! End-to-end tests of the `accelwall` regeneration binary: every target
 //! must exit cleanly and print its figure/table header, `--json` must
 //! emit valid JSON with the documented keys, the `list` output must match
-//! the registry exactly, and a full `all` run must compute every shared
-//! input exactly once.
+//! the registry exactly, a full `all` run must compute every shared
+//! input exactly once, and a reader closing the pipe early must not make
+//! the binary panic.
 
 use accelerator_wall::json::Value;
 use accelerator_wall::prelude::*;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_accelwall"))
@@ -167,6 +168,24 @@ fn all_json_is_one_document_keyed_by_experiment_id() {
     for (id, artifact) in doc {
         assert!(artifact.get("error").is_none(), "{id} reported an error");
     }
+}
+
+#[test]
+fn a_closed_stdout_pipe_ends_quietly() {
+    // `accelwall all --json | head -1`: the document (~150 KB) outgrows
+    // any pipe buffer, so the write hits a reader that has already gone.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_accelwall"))
+        .args(["all", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }
 
 #[test]

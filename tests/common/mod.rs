@@ -2,8 +2,10 @@
 //! `accelwall serve` child over HTTP/1.1: spawning and draining the
 //! server, one-shot requests, `/metrics` parsing, and one-shot CLI runs.
 
-// Each test file compiles this module separately and uses a subset.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test file compiles this module separately and uses a subset"
+)]
 
 use accelerator_wall::json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
