@@ -20,7 +20,6 @@ use crate::{Result, SimError};
 use accelwall_cmos::TechNode;
 use accelwall_dfg::{Dfg, Program};
 use std::fmt;
-use std::sync::Arc;
 
 /// Which target function the optimum maximizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,7 +115,7 @@ pub struct Attribution {
 ///
 /// Propagates simulation errors (invalid space, empty graph).
 pub fn attribute_gains(dfg: &Dfg, metric: Metric, space: &SweepSpace) -> Result<Attribution> {
-    let program = Arc::new(dfg.lower());
+    let program = dfg.lower();
     let points = run_sweep_lowered(&program, space)?;
     attribute_gains_lowered(&program, metric, &points)
 }

@@ -158,19 +158,16 @@ impl SimReport {
     }
 }
 
-/// Partition-independent quantities of one graph under one
-/// `(node, simplification, heterogeneity)` combination — everything the
-/// per-node cost walk produces. The sweep hoists this walk out of the
-/// partitioning loop: none of these depend on `partition_factor`, so one
-/// kernel pass prices a whole row of Table III points.
+/// Critical path and issue-slot work of one graph: the timing half of the
+/// per-vertex cost walk. It reads only the fusion window and the serial
+/// pass count, so one [`timing_walk`] prices every Table III point that
+/// shares those two — whatever its node, degree or partitioning factor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PointKernel {
+pub(crate) struct Timing {
     /// Critical-path length in cycles (the partitioning asymptote).
     pub(crate) critical_path: f64,
     /// Total issue-slot work in cycles.
     pub(crate) work_cycles: f64,
-    /// Total dynamic energy in picojoules before node scaling.
-    pub(crate) dynamic_pj: f64,
 }
 
 /// Config-independent cost constants of one lowered graph: the FU-class
@@ -182,37 +179,41 @@ pub(crate) struct GraphCosts {
     pub(crate) ops: u64,
 }
 
+/// Number of FU classes [`class_key`] collapses ops into.
+const CLASSES: usize = 8;
+
 /// Computes the config-independent cost constants of `program`.
 pub(crate) fn graph_costs(program: &Program) -> GraphCosts {
-    let mut classes = std::collections::BTreeSet::new();
+    let mut present = [false; CLASSES];
     for (v, &class) in program.classes().iter().enumerate() {
         if class == VertexClass::Compute {
-            classes.insert(class_key(program.opcode(v)));
+            present[usize::from(class_key(program.opcode(v)))] = true;
         }
     }
     let stats = program.stats();
     GraphCosts {
         // Area: each lane instantiates one FU per op class present, plus
         // the scratchpad sized to the largest working set (banking
-        // replicates ports, not capacity).
-        lane_area: classes.iter().map(|k| class_area(*k)).sum(),
+        // replicates ports, not capacity). Summed in ascending class key.
+        lane_area: (0..CLASSES)
+            .filter(|&k| present[k])
+            .map(|k| class_area(k as u8))
+            .sum(),
         sram_area: stats.max_working_set as f64 * fu::SRAM_WORD_AREA_UNITS,
         ops: stats.computes as u64,
     }
 }
 
-/// The per-node cost walk: critical path, total work, and dynamic energy
-/// of `program` under `config`'s fusion window, serialization passes, and
-/// datapath width. One forward pass over the flat arrays.
-pub(crate) fn point_kernel(program: &Program, config: &DesignConfig) -> PointKernel {
-    let window = f64::from(config.fusion_window());
-    let passes = f64::from(config.serial_passes());
-    let width = config.width_factor();
+/// The timing walk: critical path and total work of `program` under a
+/// fusion window and a serial pass count. One forward pass over the flat
+/// arrays.
+pub(crate) fn timing_walk(program: &Program, fusion_window: u32, serial_passes: u32) -> Timing {
+    let window = f64::from(fusion_window);
+    let passes = f64::from(serial_passes);
 
-    // Per-node costs along the critical path (cp) and in total work.
+    // Per-node finish times along the critical path, and total work.
     let mut finish = vec![0.0f64; program.vertex_count()];
     let mut work_cycles = 0.0f64;
-    let mut dynamic_pj = 0.0f64;
 
     for v in 0..program.vertex_count() {
         let ready = program
@@ -225,12 +226,10 @@ pub(crate) fn point_kernel(program: &Program, config: &DesignConfig) -> PointKer
                 // One port access; streams through the `lanes` ports.
                 finish[v] = 1.0;
                 work_cycles += 1.0;
-                dynamic_pj += fu::ACCESS_ENERGY_PJ * width;
             }
             VertexClass::Output => {
                 finish[v] = ready + 1.0;
                 work_cycles += 1.0;
-                dynamic_pj += fu::ACCESS_ENERGY_PJ * width;
             }
             VertexClass::Compute => {
                 let c: FuCost = fu::cost(program.opcode(v));
@@ -243,33 +242,51 @@ pub(crate) fn point_kernel(program: &Program, config: &DesignConfig) -> PointKer
                 };
                 finish[v] = ready + cp_cost;
                 work_cycles += slot_cost;
-                dynamic_pj += c.energy_pj * width * passes;
             }
         }
     }
 
-    PointKernel {
+    Timing {
         critical_path: finish.iter().copied().fold(0.0f64, f64::max).max(1.0),
         work_cycles,
-        dynamic_pj,
     }
 }
 
-/// Assembles the final [`SimReport`] of one design point from its hoisted
-/// kernel quantities — the only place `partition_factor` enters, O(1) per
-/// point. The expressions are kept verbatim from the original monolithic
-/// walk so reports stay bit-identical.
+/// The energy walk: dynamic energy of `program` in picojoules, before
+/// node scaling, at a datapath width factor and serial pass count — both
+/// set by the simplification degree alone. Accumulates in vertex order.
+pub(crate) fn energy_walk(program: &Program, width: f64, serial_passes: u32) -> f64 {
+    let passes = f64::from(serial_passes);
+    let mut dynamic_pj = 0.0f64;
+    for v in 0..program.vertex_count() {
+        match program.class(v) {
+            VertexClass::Input | VertexClass::Output => {
+                dynamic_pj += fu::ACCESS_ENERGY_PJ * width;
+            }
+            VertexClass::Compute => {
+                dynamic_pj += fu::cost(program.opcode(v)).energy_pj * width * passes;
+            }
+        }
+    }
+    dynamic_pj
+}
+
+/// Assembles the final [`SimReport`] of one design point from its walks'
+/// results — the only place `partition_factor` enters, O(1) per point.
+/// The expressions are kept verbatim from the original monolithic walk so
+/// reports stay bit-identical.
 pub(crate) fn assemble_report(
-    kernel: &PointKernel,
+    timing: &Timing,
+    dynamic_pj: f64,
     costs: &GraphCosts,
     config: &DesignConfig,
 ) -> SimReport {
     let lanes = config.partition_factor as f64;
     let width = config.width_factor();
-    let cycles = kernel.critical_path.max(kernel.work_cycles / lanes);
+    let cycles = timing.critical_path.max(timing.work_cycles / lanes);
     let runtime_s = cycles / (CLOCK_GHZ * 1e9);
     let area_units = (costs.lane_area * lanes + costs.sram_area) * width;
-    let dynamic_energy_j = kernel.dynamic_pj * 1e-12 * config.node.dynamic_energy_rel();
+    let dynamic_energy_j = dynamic_pj * 1e-12 * config.node.dynamic_energy_rel();
     // A normalized area unit holds a fixed transistor count, so leakage
     // scales with the per-transistor leakage of the node alone.
     let leakage_w = area_units * fu::LEAK_UW_PER_AREA_UNIT * 1e-6 * config.node.leakage_rel();
@@ -280,7 +297,7 @@ pub(crate) fn assemble_report(
         leakage_w,
         area_units,
         ops: costs.ops,
-        critical_path_cycles: kernel.critical_path,
+        critical_path_cycles: timing.critical_path,
     }
 }
 
@@ -289,9 +306,11 @@ pub(crate) fn assemble_report(
 /// The model is the standard pre-RTL bound pair:
 /// `cycles = max(critical path, work / lanes)`, with per-op costs from the
 /// FU library scaled by fusion, serialization, and CMOS node — the same
-/// quantities Aladdin extracts from its dynamic trace. The walk reads
-/// only the flat SoA arrays; callers pricing many points over one graph
-/// (the sweep, the attribution toggle chain) share one lowered program.
+/// quantities Aladdin extracts from its dynamic trace. A timing walk and
+/// an energy walk read only the flat SoA arrays; the sweep runs the same
+/// two walks, once per distinct key, so one cost model prices every
+/// point. Callers pricing many points over one graph (the sweep, the
+/// attribution toggle chain) share one lowered program.
 ///
 /// # Errors
 ///
@@ -302,9 +321,14 @@ pub fn simulate_lowered(program: &Program, config: &DesignConfig) -> Result<SimR
     if program.stats().computes == 0 {
         return Err(SimError::EmptyGraph);
     }
-    let kernel = point_kernel(program, config);
-    let costs = graph_costs(program);
-    Ok(assemble_report(&kernel, &costs, config))
+    let timing = timing_walk(program, config.fusion_window(), config.serial_passes());
+    let dynamic_pj = energy_walk(program, config.width_factor(), config.serial_passes());
+    Ok(assemble_report(
+        &timing,
+        dynamic_pj,
+        &graph_costs(program),
+        config,
+    ))
 }
 
 /// Runs the analytical schedule of `dfg` under `config` — the front-end

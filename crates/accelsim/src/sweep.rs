@@ -1,13 +1,12 @@
 //! The Table III design-space sweep (Fig. 13).
 
 use crate::sim::{
-    assemble_report, graph_costs, point_kernel, DesignConfig, SimReport, MAX_PARTITION,
-    MAX_SIMPLIFICATION,
+    assemble_report, energy_walk, graph_costs, timing_walk, DesignConfig, SimReport, Timing,
+    MAX_PARTITION, MAX_SIMPLIFICATION,
 };
 use crate::{Result, SimError};
 use accelwall_cmos::TechNode;
 use accelwall_dfg::{Dfg, Program};
-use std::sync::Arc;
 
 /// The swept parameter grid of Table III.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +24,10 @@ pub struct SweepSpace {
 impl SweepSpace {
     /// The full Table III grid: partitioning 1…2¹⁹, simplification 1…13,
     /// nodes {45, 32, 22, 14, 10, 7, 5} nm — 20 × 13 × 7 = 1820 points.
+    /// With fusion on, the seven nodes fall in four fusion windows and
+    /// the thirteen degrees in three pass counts, so
+    /// [`run_sweep_lowered`] prices the grid from 12 timing walks and 13
+    /// energy walks.
     pub fn table3() -> Self {
         SweepSpace {
             partition_factors: (0..=MAX_PARTITION.trailing_zeros() as u64)
@@ -80,71 +83,83 @@ pub struct SweepPoint {
 /// Runs the sweep over one lowered `program`, one [`SweepPoint`] per
 /// configuration, sharing the program across every grid point.
 ///
-/// The per-node cost walk ([`point_kernel`]) does not depend on the
-/// partitioning factor, so the sweep hoists it out of the partitioning
-/// axis: one kernel evaluation per `(node, simplification)` combination —
-/// 91 walks instead of 1820 for the Table III grid — fanned across the
-/// `accelwall-par` pool, then an O(1) [`assemble_report`] per point. The
-/// assembly uses the exact expressions of the monolithic walk, so every
-/// report is bit-identical to simulating each point from scratch.
+/// A timing walk (critical path and work) depends only on the fusion
+/// window and the serial pass count, and an energy walk only on the
+/// simplification degree; neither depends on the partitioning factor.
+/// The sweep therefore runs one timing walk per distinct
+/// `(fusion window, serial passes)` and one energy walk per distinct
+/// degree — 12 and 13 for the Table III grid's 91 `(node, degree)`
+/// pairs — then an O(1) `assemble_report` per point. [`simulate_lowered`](crate::simulate_lowered) runs the same
+/// walks and assembly, so every report is bit-identical to simulating
+/// each point from scratch. The walks are short, so they run in a plain
+/// loop on the calling thread.
 ///
 /// # Errors
 ///
 /// Surfaces the same error the per-point loop would: the first
 /// [`SimError::InvalidConfig`] in configuration order, or
 /// [`SimError::EmptyGraph`] for graphs without compute vertices.
-pub fn run_sweep_lowered(program: &Arc<Program>, space: &SweepSpace) -> Result<Vec<SweepPoint>> {
+pub fn run_sweep_lowered(program: &Program, space: &SweepSpace) -> Result<Vec<SweepPoint>> {
     // Validate up front in configuration order so the surfaced error is
-    // the one the point-at-a-time loop would have hit first.
-    for config in space.configs() {
+    // the one the point-at-a-time loop would have hit first. Validity
+    // does not depend on the node, so the first node's block of configs
+    // holds the first invalid one.
+    let node_block = space.simplification_degrees.len() * space.partition_factors.len();
+    for config in space.configs().take(node_block) {
         config.validate()?;
         if program.stats().computes == 0 {
             return Err(SimError::EmptyGraph);
         }
     }
 
-    // One kernel walk per (node, simplification) combination, in parallel.
-    let combos: Vec<DesignConfig> = space
-        .nodes
-        .iter()
-        .flat_map(|&node| {
-            space
-                .simplification_degrees
-                .iter()
-                .map(move |&s| DesignConfig::new(node, 1, s, space.heterogeneity))
-        })
-        .collect();
-    let shared = Arc::clone(program);
-    let jobs = combos.clone();
-    let kernels = accelwall_par::par_map(combos.len(), move |i| point_kernel(&shared, &jobs[i]));
     let costs = graph_costs(program);
-
-    // O(1) assembly per grid point, in configuration order.
+    let mut timings: Vec<((u32, u32), Timing)> = Vec::new();
+    let mut energies: Vec<(u32, f64)> = Vec::new();
     let mut points = Vec::with_capacity(space.len());
-    for (combo, kernel) in combos.iter().zip(&kernels) {
-        for &p in &space.partition_factors {
-            let config = DesignConfig::new(
-                combo.node,
-                p,
-                combo.simplification_degree,
-                space.heterogeneity,
-            );
-            let report = assemble_report(kernel, &costs, &config);
-            points.push(SweepPoint { config, report });
+    for &node in &space.nodes {
+        for &degree in &space.simplification_degrees {
+            let row = DesignConfig::new(node, 1, degree, space.heterogeneity);
+            let (window, passes) = (row.fusion_window(), row.serial_passes());
+            let timing = memo(&mut timings, (window, passes), || {
+                timing_walk(program, window, passes)
+            });
+            let dynamic_pj = memo(&mut energies, degree, || {
+                energy_walk(program, row.width_factor(), passes)
+            });
+            // O(1) assembly per grid point, in configuration order.
+            for &partition_factor in &space.partition_factors {
+                let config = DesignConfig {
+                    partition_factor,
+                    ..row
+                };
+                let report = assemble_report(&timing, dynamic_pj, &costs, &config);
+                points.push(SweepPoint { config, report });
+            }
         }
     }
     Ok(points)
 }
 
+/// The value `walk` gives for `key`, run at most once per key: a linear
+/// scan, since a sweep sees a dozen keys.
+fn memo<K: PartialEq, V: Copy>(seen: &mut Vec<(K, V)>, key: K, walk: impl FnOnce() -> V) -> V {
+    if let Some(&(_, value)) = seen.iter().find(|(k, _)| *k == key) {
+        return value;
+    }
+    let value = walk();
+    seen.push((key, value));
+    value
+}
+
 /// Runs the sweep over `dfg` — the front-end convenience over
 /// [`run_sweep_lowered`] that lowers per call. Hot paths lower once with
-/// [`Dfg::lower`] and share the `Arc<Program>`.
+/// [`Dfg::lower`] and share the program.
 ///
 /// # Errors
 ///
 /// Same as [`run_sweep_lowered`].
 pub fn run_sweep(dfg: &Dfg, space: &SweepSpace) -> Result<Vec<SweepPoint>> {
-    run_sweep_lowered(&Arc::new(dfg.lower()), space)
+    run_sweep_lowered(&dfg.lower(), space)
 }
 
 /// The sweep point with the best energy efficiency (the Fig. 13 annotated
@@ -213,6 +228,21 @@ mod tests {
         assert_eq!(s.nodes.len(), 7);
         assert_eq!(s.len(), 1820);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn table3_prices_from_12_timing_keys_and_13_degrees() {
+        // The walk counts the sweep docs promise: seven nodes share four
+        // fusion windows, and thirteen degrees three pass counts.
+        let space = SweepSpace::table3();
+        let mut timing_keys: Vec<(u32, u32)> = space
+            .configs()
+            .map(|c| (c.fusion_window(), c.serial_passes()))
+            .collect();
+        timing_keys.sort_unstable();
+        timing_keys.dedup();
+        assert_eq!(timing_keys.len(), 12);
+        assert_eq!(space.simplification_degrees.len(), 13);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use accelwall_cmos::TechNode;
 use accelwall_dfg::{Dfg, DfgBuilder, NodeId, Op};
 use accelwall_stats::Rng;
 use accelwall_workloads::Workload;
-use std::sync::Arc;
 
 const OPS: [Op; 10] = [
     Op::Add,
@@ -174,15 +173,15 @@ fn lowered_scheduler_is_bit_identical_to_the_reference_on_registry_workloads() {
 
 #[test]
 fn hoisted_sweep_is_bit_identical_to_per_point_simulation_on_random_graphs() {
-    // The sweep hoists the kernel walk out of the partitioning axis; a
-    // point-by-point `simulate_lowered` repeats the whole walk per point.
-    // Every report field must still match to the bit.
+    // The sweep shares each timing and energy walk across many points; a
+    // point-by-point `simulate_lowered` runs both walks per point. Every
+    // report field must still match to the bit.
     let mut rng = Rng::seed(0xACCE_0007);
     let space = SweepSpace::coarse();
     for _ in 0..24 {
         let (inputs, ops) = arb_graph(&mut rng);
         let dfg = build(inputs, &ops);
-        let program = Arc::new(dfg.lower());
+        let program = dfg.lower();
         let points = run_sweep_lowered(&program, &space).unwrap();
         assert_eq!(points.len(), space.len());
         for (point, config) in points.iter().zip(space.configs()) {
@@ -197,7 +196,7 @@ fn hoisted_sweep_is_bit_identical_to_per_point_simulation_on_random_graphs() {
 fn hoisted_sweep_is_bit_identical_to_per_point_simulation_on_registry_workloads() {
     let space = SweepSpace::coarse();
     for &w in Workload::all() {
-        let program = Arc::new(w.default_instance().lower());
+        let program = w.default_instance().lower();
         let points = run_sweep_lowered(&program, &space).unwrap();
         for (point, config) in points.iter().zip(space.configs()) {
             let direct = simulate_lowered(&program, &config).unwrap();

@@ -4,9 +4,9 @@
 //! touches it, so one process cannot honestly time both configurations.
 //! This bench therefore re-executes itself: the parent spawns two child
 //! copies of this binary — one pinned to `ACCELWALL_THREADS=1`, one to
-//! `ACCELWALL_THREADS=4` — and each child times the four accelerated
-//! kernels cold plus a full `accelwall all` replica, reporting one flat
-//! JSON line the parent folds into the final document.
+//! `ACCELWALL_THREADS=4` — and each child times six kernels cold plus a
+//! full `accelwall all` replica, reporting one flat JSON line the parent
+//! folds into the final document.
 //!
 //! Measured per configuration:
 //!
@@ -16,16 +16,17 @@
 //!    deterministic RNG streams;
 //! 3. **fit** — the log-log regressions over the generated corpus;
 //! 4. **sweep** — one workload's design-space sweep on the paper grid
-//!    (the hoisted bytecode path);
+//!    (shared timing and energy walks over the bytecode program);
 //! 5. **sched** — the list scheduler over the lowered program;
 //! 6. **interp** — the bytecode register-machine interpreter;
 //! 7. **sensitivity** — the ±20 % wall-sensitivity grid, every domain.
 //!
 //! The output also carries a `quick_*` section so CI can re-measure two
 //! machine-portable ratios in seconds: the serial/parallel cold-`all`
-//! ratio (coarse sweep space) and the per-point-vs-hoisted sweep-kernel
-//! ratio on the full Table III grid. The `bench-smoke` job fails when
-//! either regresses more than 25 % against the committed baseline.
+//! ratio (coarse sweep space) and the per-point-vs-shared-walk
+//! sweep-kernel ratio on the full Table III grid. The `bench-smoke` job
+//! fails when either regresses more than 25 % against the committed
+//! baseline.
 //! Speedups are ratios of same-machine runs, so the gates are portable
 //! across core counts; `cores` records what the baseline machine
 //! offered, and `single_core_host` flags runs where
@@ -153,11 +154,11 @@ fn child(mode: &str) {
         let start = Instant::now();
         run_all_with(Ctx::with_space(SweepSpace::coarse()));
         let all_ms = ms(start.elapsed());
-        // Sweep-kernel ratio on the full Table III grid: the hoisted
-        // lowered sweep vs pricing every point with its own kernel walk.
-        // Both run over one shared program, so the ratio isolates the
-        // hoisting and is portable across machines.
-        let program = std::sync::Arc::new(Workload::all()[0].default_instance().lower());
+        // Sweep-kernel ratio on the full Table III grid: the lowered
+        // sweep, which shares walks across points, vs pricing every point
+        // with its own walks. Both run over one shared program, so the
+        // ratio isolates the sharing and is portable across machines.
+        let program = Workload::all()[0].default_instance().lower();
         let space = SweepSpace::table3();
         let per_point_start = Instant::now();
         for config in space.configs() {

@@ -191,15 +191,10 @@ impl TechNode {
 
     /// Device parameters of this node.
     pub fn params(self) -> &'static NodeParams {
-        #[expect(
-            clippy::expect_used,
-            reason = "TABLE covers every TechNode; all_nodes_ordered_oldest_to_newest exercises params() for each variant"
-        )]
-        let (_, params) = TABLE
-            .iter()
-            .find(|(n, _)| *n == self)
-            .expect("every variant is in the table");
-        params
+        // TABLE holds one row per variant in declaration order, so the
+        // discriminant is the row (pinned by
+        // `table_rows_follow_declaration_order`).
+        &TABLE[self as usize].1
     }
 
     /// Switching-speed potential relative to 45 nm (reciprocal gate delay).
@@ -338,6 +333,14 @@ mod tests {
         assert_eq!(n.dynamic_energy_rel(), 1.0);
         assert_eq!(n.leakage_rel(), 1.0);
         assert_eq!(n.density_rel(), 1.0);
+    }
+
+    #[test]
+    fn table_rows_follow_declaration_order() {
+        assert_eq!(TABLE.len(), TechNode::all().len());
+        for (row, (&node, (table_node, _))) in TechNode::all().iter().zip(TABLE).enumerate() {
+            assert_eq!((node as usize, node), (row, *table_node));
+        }
     }
 
     #[test]

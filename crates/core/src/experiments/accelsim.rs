@@ -128,11 +128,11 @@ impl Experiment for Fig14 {
 
     fn run(&self, ctx: &Ctx) -> Result<Artifact> {
         // Warm every per-workload sweep before the serial attribution
-        // pass. A band of scoped threads overlaps the workloads' serial
-        // portions (DFG lowering, result assembly) while each sweep's
-        // design points already fan out across the `accelwall-par` pool;
-        // results still come out of `ctx.sweep` memoized and in roster
-        // order, so the artifact is byte-identical to the serial loop.
+        // pass. Each sweep runs on its calling thread, so a band of
+        // scoped threads (one per compute thread) spreads the workloads'
+        // lowerings and sweeps; results still come out of `ctx.sweep`
+        // memoized and in roster order, so the artifact is byte-identical
+        // to the serial loop.
         let bands = accelwall_par::threads().min(Workload::all().len()).max(1);
         std::thread::scope(|s| {
             for band in 0..bands {

@@ -567,11 +567,19 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        let n = std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|text| text.parse::<f64>().ok())
-            .map(Value::Number)
-            .ok_or_else(|| self.err("invalid number"))
+            .ok_or_else(|| self.err("invalid number"))?;
+        // `f64::parse` rounds a literal past f64::MAX to infinity, which
+        // JSON cannot write back (it renders as `null`).
+        if !n.is_finite() {
+            return Err(ParseError {
+                message: "number out of range".to_string(),
+                offset: start,
+            });
+        }
+        Ok(Value::Number(n))
     }
 }
 
@@ -680,6 +688,25 @@ mod tests {
             ("-1.25e-2", -0.0125),
         ] {
             assert_eq!(Value::parse(good).unwrap().as_f64(), Some(want), "{good}");
+        }
+    }
+
+    #[test]
+    fn rejects_out_of_range_numbers_and_round_trips_the_rest() {
+        for (text, offset) in [("1e999", 0), ("-1e999", 0), ("[1, 1e999]", 4)] {
+            let err = Value::parse(text).unwrap_err();
+            assert_eq!(err.message, "number out of range", "{text}");
+            assert_eq!(err.offset, offset, "{text}");
+        }
+        assert_eq!(
+            Value::parse("1.7976931348623157e308").unwrap().as_f64(),
+            Some(f64::MAX)
+        );
+        // Every accepted document renders back to itself.
+        let doc = Value::parse(r#"{"max":1.7976931348623157e308,"tiny":5e-324,"neg":-2.5e-300}"#)
+            .unwrap();
+        for text in [doc.to_string(), doc.pretty()] {
+            assert_eq!(Value::parse(&text).unwrap(), doc);
         }
     }
 

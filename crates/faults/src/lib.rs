@@ -335,10 +335,9 @@ fn parse_duration(entry: &str, value: &str) -> Result<Duration, SpecError> {
         "s" => n,
         _ => return Err(bad()),
     };
-    if !seconds.is_finite() {
-        return Err(bad());
-    }
-    Ok(Duration::from_secs_f64(seconds))
+    // Rejects what no `Duration` holds (above ~1.8e19 s, or infinite)
+    // instead of panicking.
+    Duration::try_from_secs_f64(seconds).map_err(|_| bad())
 }
 
 /// The error an `err`-kind probe returns — a transient, retryable
@@ -616,6 +615,7 @@ mod tests {
             "fig3b:hang:0.5",
             "fig3b:hang:-1s",
             "fig3b:hang:1e3ms",
+            "fig3b:hang:99999999999999999999999ms",
         ] {
             assert!(
                 matches!(

@@ -2,9 +2,11 @@
 //!
 //! The pipeline already overlaps *experiments* (dependency waves in the
 //! registry, per-slot compute threads in the artifact cache); this crate
-//! parallelizes the serial kernels *inside* an experiment — the
-//! design-space sweeps, corpus generation, and regression accumulations
-//! that dominate the cold path — without changing a single output byte.
+//! parallelizes the serial kernels *inside* an experiment — corpus
+//! generation, regression accumulations, the per-chip study scans and
+//! the wall-sensitivity grid — without changing a single output byte.
+//! The design-space sweeps do not use the pool: each runs 25 short
+//! walks, which a plain loop runs as fast.
 //!
 //! # Design
 //!

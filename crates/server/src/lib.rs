@@ -719,6 +719,14 @@ mod tests {
         assert_eq!(status, 413, "oversized body: {body}");
         let (status, _) = post(addr, "/query", "not json");
         assert_eq!(status, 400);
+        // A literal past f64::MAX is a JSON parse error, not infinity.
+        let (status, body) = post(
+            addr,
+            "/query",
+            r#"{"kind":"projection","domain":"gpu","horizon":1e999}"#,
+        );
+        assert_eq!(status, 400, "out-of-range horizon: {body}");
+        assert!(body.contains("not valid JSON"), "{body}");
 
         handle.shutdown();
         join.join().expect("server thread").expect("clean exit");

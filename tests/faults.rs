@@ -353,17 +353,22 @@ fn injected_connection_faults_shed_or_drop_without_killing_the_reactor() {
 /// diagnostic instead of silently arming nothing.
 #[test]
 fn invalid_fault_specs_abort_startup() {
+    // A rejected spec is a typed startup error: exit 1, never a panic's
+    // exit 101.
     let spawn_expecting_failure = |spec: &str| -> String {
         let out = Command::new(env!("CARGO_BIN_EXE_accelwall"))
             .args(["serve", "--addr", "127.0.0.1:0"])
             .env("ACCELWALL_FAULTS", spec)
             .output()
             .expect("binary runs");
-        assert!(
-            !out.status.success(),
-            "serve accepted ACCELWALL_FAULTS={spec:?}"
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "ACCELWALL_FAULTS={spec:?}: {err}"
         );
-        String::from_utf8_lossy(&out.stderr).into_owned()
+        assert!(!err.contains("panicked"), "{err}");
+        err
     };
 
     let err = spawn_expecting_failure("total-nonsense");
@@ -377,4 +382,8 @@ fn invalid_fault_specs_abort_startup() {
 
     let err = spawn_expecting_failure("fig3a:hang:oops");
     assert!(err.contains("oops"), "{err}");
+
+    // Past what a `Duration` holds (~1.8e19 s).
+    let err = spawn_expecting_failure("fig3a:hang:18446744073709551616s");
+    assert!(err.contains("ACCELWALL_FAULTS is invalid"), "{err}");
 }

@@ -124,3 +124,75 @@ fn dfg_interpreter_agrees_with_simulated_op_counts() {
         assert_eq!(r.ops, dfg.stats().computes as u64, "{w}");
     }
 }
+
+/// Every field of a report, floats as their bit patterns.
+fn report_bits(r: &SimReport) -> [u64; 7] {
+    [
+        r.cycles.to_bits(),
+        r.runtime_s.to_bits(),
+        r.dynamic_energy_j.to_bits(),
+        r.leakage_w.to_bits(),
+        r.area_units.to_bits(),
+        r.ops,
+        r.critical_path_cycles.to_bits(),
+    ]
+}
+
+#[test]
+fn sweep_shares_walks_yet_matches_point_simulation_to_the_bit() {
+    // The sweep runs one timing walk per (fusion window, serial passes)
+    // and one energy walk per degree, so Table III's seven nodes share
+    // four fusion windows. Each report must equal a from-scratch
+    // `simulate_lowered` of its own config, field by field and bit by
+    // bit. Heterogeneity off gives every node window 1; repeated,
+    // unsorted axes reuse walks out of order.
+    let table3 = SweepSpace::table3();
+    let fusion_off = SweepSpace {
+        heterogeneity: false,
+        ..SweepSpace::table3()
+    };
+    let repeated = SweepSpace {
+        nodes: vec![TechNode::N5, TechNode::N45, TechNode::N32, TechNode::N5],
+        simplification_degrees: vec![13, 1, 6, 13],
+        ..SweepSpace::table3()
+    };
+    let four = [Workload::Aes, Workload::Fft, Workload::Rbm, Workload::S3d];
+    let cases = [
+        (&table3, Workload::all()),
+        (&fusion_off, &four[..]),
+        (&repeated, &four[..]),
+    ];
+    for (space, workloads) in cases {
+        for &w in workloads {
+            let program = w.default_instance().lower();
+            let points = run_sweep_lowered(&program, space).unwrap();
+            assert_eq!(points.len(), space.len(), "{w}");
+            for (point, config) in points.iter().zip(space.configs()) {
+                assert_eq!(point.config, config, "{w}: sweep must keep config order");
+                let direct = simulate_lowered(&program, &config).unwrap();
+                assert_eq!(
+                    report_bits(&point.report),
+                    report_bits(&direct),
+                    "{w} {config:?}"
+                );
+            }
+        }
+    }
+
+    // An invalid space fails with the error the point-at-a-time loop
+    // meets first: the bad partition factor when degree 2 leads, the
+    // bad degree when degree 14 leads.
+    let program = Workload::Trd.default_instance().lower();
+    for degrees in [vec![2, 14], vec![14, 2]] {
+        let space = SweepSpace {
+            partition_factors: vec![1, 3],
+            simplification_degrees: degrees,
+            ..SweepSpace::coarse()
+        };
+        let first = space
+            .configs()
+            .find_map(|config| simulate_lowered(&program, &config).err());
+        assert!(first.is_some());
+        assert_eq!(run_sweep_lowered(&program, &space).err(), first);
+    }
+}
