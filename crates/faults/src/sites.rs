@@ -40,13 +40,8 @@ pub const SERVE_REQUEST: &str = "serve-request";
 /// dropped, the thread survives and keeps accepting.
 pub const SERVE_CONN: &str = "serve-conn";
 
-/// The query engine probes this at admission, before reserving cost
-/// units: an `err` here sheds the query (503 on the wire) exactly as a
-/// saturated budget would, without touching the LRU.
-pub const QUERY_CACHE_ADMIT: &str = "query-cache-admit";
-
-/// The query engine probes this after admission, before executing a
-/// cache miss: an `err` here fails the compute as a retryable fault.
+/// The query engine probes this before executing a cache miss: an
+/// `err` here fails the compute as a retryable fault.
 /// Nothing is inserted on failure, so the LRU is never poisoned.
 pub const QUERY_COMPUTE: &str = "query-compute";
 
@@ -64,13 +59,8 @@ pub const ROSTER: &[Site] = &[
         effect: "connection-level chaos at accept (shed or dropped, the accepting thread survives)",
     },
     Site {
-        name: QUERY_CACHE_ADMIT,
-        location: "crates/query/src/engine.rs::QueryEngine::admit",
-        effect: "admission control shedding a query under load",
-    },
-    Site {
         name: QUERY_COMPUTE,
-        location: "crates/query/src/engine.rs::QueryEngine::answer",
+        location: "crates/query/src/engine.rs::QueryEngine::compute",
         effect: "a transient failure while computing a query miss",
     },
 ];

@@ -1,12 +1,8 @@
-//! The query executor: admission control, the LRU front, and the
-//! per-kind compute paths.
+//! The query executor: the LRU front and the per-kind compute paths.
 //!
 //! ```text
-//!   spec ──canonicalize──▶ u64 key ──▶ LRU hit? ──▶ cached bytes
+//!   spec ──canonicalize──▶ u64 key ──▶ LRU hit (same spec)? ──▶ cached bytes
 //!                                        │ miss
-//!                                        ▼
-//!                            admission control (cost × in-flight)
-//!                                        │ admitted
 //!                                        ▼
 //!              point ──▶ Ctx::program + simulate_lowered
 //!              sweep ──▶ Ctx::sweep (or ArtifactCache when shadowing)
@@ -16,6 +12,11 @@
 //!                                        ▼
 //!                       pretty JSON bytes ──▶ LRU insert ──▶ caller
 //! ```
+//!
+//! The engine bounds nothing itself: `accelwall serve` looks a spec up
+//! ([`QueryEngine::lookup`]) before its compute gate, so a hit never
+//! waits for a compute slot, and computes only the misses under the
+//! gate ([`QueryEngine::compute`]).
 //!
 //! The engine deliberately sits *beside* the per-experiment
 //! [`ArtifactCache`]: registry targets keep their `OnceLock` slots and
@@ -44,9 +45,6 @@ use crate::QueryError;
 /// point responses, small next to one artifact sweep.
 pub const DEFAULT_CACHE_BYTES: usize = 32 * 1024 * 1024;
 
-/// Default admission budget in cost units (a sweep costs 64, a point 1).
-pub const DEFAULT_ADMISSION_BUDGET: u64 = 256;
-
 /// Counters the engine exports to `/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
@@ -54,126 +52,83 @@ pub struct QueryStats {
     pub cache: QueryCacheStats,
     /// Specs actually computed (cache misses that ran the pipeline).
     pub computes: u64,
-    /// Specs shed by admission control.
-    pub shed: u64,
-    /// Cost units currently in flight.
-    pub in_flight: u64,
+}
+
+/// A spec the LRU does not hold, from [`QueryEngine::lookup`]: it
+/// carries the spec's cache key to [`QueryEngine::compute`], so the key
+/// is derived once per spec.
+#[derive(Debug)]
+pub struct Miss {
+    key: u64,
 }
 
 /// Answers validated specs, caching pre-serialized response bodies.
 pub struct QueryEngine {
     artifacts: Arc<ArtifactCache>,
     lru: QueryCache,
-    budget: u64,
-    in_flight: AtomicU64,
     computes: AtomicU64,
-    shed: AtomicU64,
 }
 
 impl std::fmt::Debug for QueryEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryEngine")
-            .field("budget", &self.budget)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
-/// Releases admitted cost even when the compute path errors or panics.
-struct CostGuard<'a> {
-    engine: &'a QueryEngine,
-    cost: u64,
-}
-
-impl Drop for CostGuard<'_> {
-    fn drop(&mut self) {
-        self.engine.in_flight.fetch_sub(self.cost, Ordering::AcqRel);
-    }
-}
-
 impl QueryEngine {
-    /// Creates an engine over an artifact cache with the default
-    /// admission budget.
+    /// Creates an engine over an artifact cache, its LRU capped at
+    /// `cache_bytes`.
     pub fn new(artifacts: Arc<ArtifactCache>, cache_bytes: usize) -> QueryEngine {
-        QueryEngine::with_budget(artifacts, cache_bytes, DEFAULT_ADMISSION_BUDGET)
-    }
-
-    /// [`QueryEngine::new`] with an explicit admission budget — the
-    /// hook tests use to force shedding deterministically.
-    pub fn with_budget(
-        artifacts: Arc<ArtifactCache>,
-        cache_bytes: usize,
-        budget: u64,
-    ) -> QueryEngine {
         QueryEngine {
             artifacts,
             lru: QueryCache::new(cache_bytes),
-            budget,
-            in_flight: AtomicU64::new(0),
             computes: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         }
     }
 
-    /// Answers a spec: LRU first, then admission control, then the
-    /// pipeline. The returned bytes are the exact wire body (pretty
-    /// JSON plus a trailing newline).
+    /// Answers a spec: the LRU first, then the pipeline. The returned
+    /// bytes are the exact wire body (pretty JSON plus a trailing
+    /// newline).
     ///
     /// # Errors
     ///
-    /// [`QueryError::Overloaded`] when shed, [`QueryError::Engine`]
-    /// when the pipeline fails. Failed computes insert nothing, so a
-    /// transient fault never poisons the cache.
+    /// [`QueryError::Engine`] when the pipeline fails. Failed computes
+    /// insert nothing, so a transient fault never poisons the cache.
     pub fn answer(&self, spec: &QuerySpec) -> Result<Arc<Vec<u8>>, QueryError> {
+        self.lookup(spec).or_else(|miss| self.compute(spec, miss))
+    }
+
+    /// The LRU half of [`QueryEngine::answer`]: the cached body of
+    /// exactly this spec, or the [`Miss`] to compute it under. Counts one
+    /// cache hit or miss.
+    ///
+    /// # Errors
+    ///
+    /// The [`Miss`] when the LRU holds no body for this spec.
+    pub fn lookup(&self, spec: &QuerySpec) -> Result<Arc<Vec<u8>>, Miss> {
         let key = cache_key(spec);
-        if let Some(body) = self.lru.get(key) {
-            return Ok(body);
-        }
-        let guard = self.admit(spec)?;
+        self.lru.get(key, spec).ok_or(Miss { key })
+    }
+
+    /// The compute half of [`QueryEngine::answer`]: runs the pipeline for
+    /// a spec [`QueryEngine::lookup`] missed, and admits the body to the
+    /// LRU.
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::Engine`] when the pipeline fails; nothing is cached
+    /// then.
+    pub fn compute(&self, spec: &QuerySpec, miss: Miss) -> Result<Arc<Vec<u8>>, QueryError> {
         self.computes.fetch_add(1, Ordering::Relaxed);
         if let Err(fault) = accelwall_faults::probe(accelwall_faults::sites::QUERY_COMPUTE) {
             return Err(QueryError::Engine(fault.into()));
         }
         let json = self.execute(spec)?;
-        drop(guard);
         let body = Arc::new(format!("{}\n", json.pretty()).into_bytes());
-        self.lru.insert(key, Arc::clone(&body));
+        self.lru.insert(miss.key, spec, Arc::clone(&body));
         Ok(body)
-    }
-
-    /// Admission control: reserve the spec's cost units, shedding when
-    /// the reservation would push in-flight work past the budget. An
-    /// armed `query-cache-admit` fault sheds unconditionally.
-    fn admit(&self, spec: &QuerySpec) -> Result<CostGuard<'_>, QueryError> {
-        let cost = spec.cost_units();
-        if accelwall_faults::probe(accelwall_faults::sites::QUERY_CACHE_ADMIT).is_err() {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(QueryError::Overloaded {
-                cost,
-                in_flight: self.in_flight.load(Ordering::Acquire),
-                budget: 0,
-            });
-        }
-        let mut current = self.in_flight.load(Ordering::Acquire);
-        loop {
-            if current + cost > self.budget {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(QueryError::Overloaded {
-                    cost,
-                    in_flight: current,
-                    budget: self.budget,
-                });
-            }
-            match self.in_flight.compare_exchange_weak(
-                current,
-                current + cost,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Ok(CostGuard { engine: self, cost }),
-                Err(seen) => current = seen,
-            }
-        }
     }
 
     fn execute(&self, spec: &QuerySpec) -> Result<Value, QueryError> {
@@ -256,8 +211,6 @@ impl QueryEngine {
         QueryStats {
             cache: self.lru.stats(),
             computes: self.computes.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Acquire),
         }
     }
 }
@@ -566,23 +519,6 @@ mod tests {
         ]);
         let err = engine.answer(&q).unwrap_err();
         assert!(matches!(err, QueryError::Engine(_)), "{err}");
-        assert!(!err.is_retryable());
-    }
-
-    #[test]
-    fn admission_budget_sheds_expensive_specs() {
-        let cache = ArtifactCache::new(Registry::paper(), Ctx::with_space(SweepSpace::coarse()));
-        let engine = QueryEngine::with_budget(Arc::new(cache), 1024 * 1024, 8);
-        // A sweep costs 64 units against a budget of 8: always shed.
-        let q = spec(&[("kind", "sweep"), ("workload", "fft")]);
-        let err = engine.answer(&q).unwrap_err();
-        assert!(matches!(err, QueryError::Overloaded { .. }), "{err}");
-        assert!(err.is_retryable());
-        assert_eq!(engine.stats().shed, 1);
-        // Cheap points still pass, and the guard releases the units.
-        let p = spec(&[("workload", "fft")]);
-        engine.answer(&p).unwrap();
-        assert_eq!(engine.stats().in_flight, 0);
     }
 
     #[test]

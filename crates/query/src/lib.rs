@@ -17,12 +17,13 @@
 //!    floats print via Rust's shortest-roundtrip display, so `8` and
 //!    `8.0` produce the same stable `u64` FNV-1a key.
 //! 3. **Cache** ([`QueryCache`]) — a sharded, byte-capped LRU over
-//!    pre-serialized JSON response bodies, sitting beside (not
-//!    replacing) the per-experiment `ArtifactCache`.
-//! 4. **Executor** ([`QueryEngine`]) — admission control sheds work when
-//!    estimated cost times in-flight load exceeds the budget, then
-//!    answers misses through `Ctx`'s memoized lowered programs, the
-//!    sweep runner, and the projection/CSR machinery.
+//!    pre-serialized JSON response bodies, found by key and matched on
+//!    the exact spec, sitting beside (not replacing) the per-experiment
+//!    `ArtifactCache`.
+//! 4. **Executor** ([`QueryEngine`]) — answers misses through `Ctx`'s
+//!    memoized lowered programs, the sweep runner, and the
+//!    projection/CSR machinery. It bounds nothing itself: the server's
+//!    compute gate decides how many misses compute at once.
 //!
 //! A spec that exactly shadows a registry target (today: a full `s3d`
 //! sweep shadows `fig13`) is delegated to the `ArtifactCache`, so its
@@ -39,7 +40,7 @@ pub mod lru;
 pub mod spec;
 
 pub use canon::{cache_key, canonical_string};
-pub use engine::{QueryEngine, QueryStats};
+pub use engine::{Miss, QueryEngine, QueryStats};
 pub use lru::{QueryCache, QueryCacheStats};
 pub use spec::{QueryKind, QuerySpec};
 
@@ -50,49 +51,14 @@ pub enum QueryError {
     /// outside its roster or range, or a field that does not apply to
     /// the requested kind. Maps to a client error.
     Invalid(String),
-    /// Admission control shed the query: estimated cost on top of the
-    /// in-flight load would exceed the engine's budget. Retryable.
-    Overloaded {
-        /// Cost units the rejected query would have added.
-        cost: u64,
-        /// Cost units already in flight.
-        in_flight: u64,
-        /// The engine's cost budget.
-        budget: u64,
-    },
     /// The pipeline itself failed while computing the answer.
     Engine(accelerator_wall::error::Error),
-}
-
-impl QueryError {
-    /// True when retrying the same query later may succeed: shed load
-    /// and injected transient faults, not validation failures.
-    pub fn is_retryable(&self) -> bool {
-        use accelerator_wall::error::Error;
-        match self {
-            QueryError::Overloaded { .. } => true,
-            QueryError::Engine(e) => matches!(
-                e.root_cause(),
-                Error::FaultInjected { .. } | Error::ComputeTimeout { .. }
-            ),
-            QueryError::Invalid(_) => false,
-        }
-    }
 }
 
 impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QueryError::Invalid(msg) => write!(f, "invalid query: {msg}"),
-            QueryError::Overloaded {
-                cost,
-                in_flight,
-                budget,
-            } => write!(
-                f,
-                "query shed by admission control: cost {cost} on top of \
-                 {in_flight} in-flight units exceeds the budget of {budget}"
-            ),
             QueryError::Engine(e) => write!(f, "query execution failed: {e}"),
         }
     }
@@ -102,7 +68,7 @@ impl std::error::Error for QueryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             QueryError::Engine(e) => Some(e),
-            _ => None,
+            QueryError::Invalid(_) => None,
         }
     }
 }

@@ -1,34 +1,66 @@
-//! A sharded, byte-capped LRU over pre-serialized response bodies.
+//! A sharded, byte-capped LRU over pre-serialized response bodies: the
+//! one store of `/query` answers, for every spelling of a spec.
 //!
 //! Query responses are small JSON documents that are expensive to
 //! recompute relative to a hash lookup, so the cache stores the exact
 //! wire bytes ([`std::sync::Arc`]`<Vec<u8>>`) keyed by the canonical
-//! `u64` of the spec. The byte budget is split evenly across a fixed
-//! number of shards, each behind its own mutex, so concurrent server
-//! workers rarely contend; eviction is least-recently-used within a
-//! shard, driven by a monotonic per-shard tick. The cap is a hard
-//! invariant: an insert first evicts until the new body fits, and a body
-//! larger than a whole shard is refused outright (the `oversize`
-//! counter) rather than wedging the cache.
+//! `u64` of the spec. The key only *finds* an entry: FNV-1a is not
+//! collision-resistant, so each entry keeps its [`QuerySpec`] and a hit
+//! must match it exactly — two specs whose keys collide never get each
+//! other's answer, they just take turns in one slot.
+//!
+//! The byte budget is split evenly across a fixed number of shards, each
+//! behind its own mutex, so concurrent connection threads rarely contend.
+//! Within a shard a hash index finds an entry in one probe, and an
+//! ordered recency map (last-use tick → key) names the least-recently-
+//! used victim, so neither a lookup nor an eviction scans the shard. The
+//! cap is a hard invariant: an insert first evicts until the new body
+//! fits, and a body larger than a whole shard is refused outright (the
+//! `oversize` counter) rather than wedging the cache.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use crate::spec::QuerySpec;
 
 /// Shard count: a power of two so the key's high bits pick a shard
 /// without bias from the FNV low bits.
 const SHARDS: usize = 8;
 
 struct Entry {
-    key: u64,
+    spec: QuerySpec,
     body: Arc<Vec<u8>>,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct Shard {
-    entries: Vec<Entry>,
+    /// Resident entries by cache key.
+    index: HashMap<u64, Entry>,
+    /// Every resident key under its last-use tick; the first is the LRU
+    /// victim. Ticks are unique within a shard.
+    recency: BTreeMap<u64, u64>,
     bytes: usize,
     tick: u64,
+}
+
+impl Shard {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    fn remove(&mut self, key: u64) {
+        if let Some(gone) = self.index.remove(&key) {
+            self.recency.remove(&gone.last_used);
+            self.bytes -= gone.body.len();
+        }
+    }
+}
+
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Observed cache behaviour, for `/metrics` and tests.
@@ -79,79 +111,68 @@ impl QueryCache {
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        // High bits: FNV-1a mixes them well, and the low bits already
-        // steered the entry's position within the shard's scan.
-        let index = (key >> 61) as usize % self.shards.len();
-        &self.shards[index]
+    fn shard(&self, key: u64) -> MutexGuard<'_, Shard> {
+        // High bits: FNV-1a mixes them well, and the shard's own index
+        // hashes the whole key again.
+        lock(&self.shards[(key >> 61) as usize % self.shards.len()])
     }
 
-    /// Looks up a body, refreshing its recency on a hit.
-    pub fn get(&self, key: u64) -> Option<Arc<Vec<u8>>> {
-        let mut shard = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(entry) = shard.entries.iter_mut().find(|e| e.key == key) {
-            entry.last_used = tick;
-            let body = Arc::clone(&entry.body);
-            drop(shard);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(body)
+    /// Looks up `spec`'s body under its `key`, refreshing its recency on
+    /// a hit. An entry under `key` for a different spec is a miss.
+    pub fn get(&self, key: u64, spec: &QuerySpec) -> Option<Arc<Vec<u8>>> {
+        let mut guard = self.shard(key);
+        let tick = guard.next_tick();
+        let shard = &mut *guard;
+        let body = match shard.index.get_mut(&key) {
+            Some(entry) if entry.spec == *spec => {
+                shard.recency.remove(&entry.last_used);
+                shard.recency.insert(tick, key);
+                entry.last_used = tick;
+                Some(Arc::clone(&entry.body))
+            }
+            _ => None,
+        };
+        drop(guard);
+        let counter = if body.is_some() {
+            &self.hits
         } else {
-            drop(shard);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            None
-        }
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        body
     }
 
-    /// Admits a body, evicting least-recently-used entries until it
-    /// fits. A body larger than a whole shard's budget is refused (the
-    /// response is still served, just never cached). Returns whether
-    /// the body was admitted.
-    pub fn insert(&self, key: u64, body: Arc<Vec<u8>>) -> bool {
+    /// Admits `spec`'s body under its `key`, evicting least-recently-used
+    /// entries until it fits. A body larger than a whole shard's budget
+    /// is refused (the response is still served, just never cached).
+    /// Returns whether the body was admitted.
+    pub fn insert(&self, key: u64, spec: &QuerySpec, body: Arc<Vec<u8>>) -> bool {
         let cost = body.len();
         if cost > self.shard_cap {
             self.oversize.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         let mut evicted = 0u64;
-        let mut shard = self
-            .shard(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(pos) = shard.entries.iter().position(|e| e.key == key) {
-            // Racing computes of the same key: drop the older body and
-            // readmit the newer one through the same budget math.
-            let gone = shard.entries.swap_remove(pos);
-            shard.bytes -= gone.body.len();
-        }
+        let mut shard = self.shard(key);
+        let tick = shard.next_tick();
+        // Racing computes of the same spec, or a spec whose key collides:
+        // drop the older body and readmit through the same budget math.
+        shard.remove(key);
         while shard.bytes + cost > self.shard_cap {
-            let victim = shard
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i);
-            match victim {
-                Some(i) => {
-                    let gone = shard.entries.swap_remove(i);
-                    shard.bytes -= gone.body.len();
-                    evicted += 1;
-                }
-                None => break,
-            }
+            let Some((_, victim)) = shard.recency.pop_first() else {
+                break;
+            };
+            shard.remove(victim);
+            evicted += 1;
         }
         shard.bytes += cost;
-        shard.entries.push(Entry {
-            key,
+        shard.recency.insert(tick, key);
+        let entry = Entry {
+            spec: spec.clone(),
             body,
             last_used: tick,
-        });
+        };
+        shard.index.insert(key, entry);
         drop(shard);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -162,11 +183,9 @@ impl QueryCache {
     pub fn stats(&self) -> QueryCacheStats {
         let (mut bytes, mut entries) = (0, 0);
         for shard in &self.shards {
-            let shard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let shard = lock(shard);
             bytes += shard.bytes;
-            entries += shard.entries.len();
+            entries += shard.index.len();
         }
         QueryCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -184,95 +203,137 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::QueryKind;
 
     fn body(len: usize, fill: u8) -> Arc<Vec<u8>> {
         Arc::new(vec![fill; len])
     }
 
-    #[test]
-    fn hits_refresh_recency_and_misses_count() {
-        let cache = QueryCache::new(8 * 64);
-        assert!(cache.get(1).is_none());
-        cache.insert(1, body(10, b'a'));
-        assert_eq!(cache.get(1).unwrap().len(), 10);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.bytes, 10);
+    /// A distinct valid spec per `n`: a csr query reporting `n + 1`.
+    fn spec(n: u64) -> QuerySpec {
+        QuerySpec {
+            kind: QueryKind::Csr,
+            reported: Some(n as f64 + 1.0),
+            physical: Some(1.0),
+            ..QuerySpec::default()
+        }
     }
 
     #[test]
     fn evicts_least_recently_used_first() {
-        // One shard's budget is 64 bytes; keys 0..3 shifted into the
-        // same shard via identical high bits.
+        // One shard's budget is 64 bytes; keys with zero high bits all
+        // land in shard 0.
         let cache = QueryCache::new(8 * 64);
-        let k = |i: u64| i; // high bits zero: all land in shard 0
-        cache.insert(k(1), body(30, b'a'));
-        cache.insert(k(2), body(30, b'b'));
+        cache.insert(1, &spec(1), body(30, b'a'));
+        cache.insert(2, &spec(2), body(30, b'b'));
         // Touch 1 so 2 is the LRU victim.
-        assert!(cache.get(k(1)).is_some());
-        cache.insert(k(3), body(30, b'c'));
-        assert!(cache.get(k(2)).is_none(), "LRU entry should be evicted");
-        assert!(cache.get(k(1)).is_some());
-        assert!(cache.get(k(3)).is_some());
+        assert!(cache.get(1, &spec(1)).is_some());
+        cache.insert(3, &spec(3), body(30, b'c'));
+        assert!(cache.get(2, &spec(2)).is_none(), "LRU entry evicted");
+        assert!(cache.get(1, &spec(1)).is_some());
+        assert!(cache.get(3, &spec(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
+    /// Two specs forced under one key never see each other's body: the
+    /// key finds the entry, the spec decides the hit.
     #[test]
-    fn refuses_oversize_bodies() {
+    fn specs_under_one_key_never_get_each_others_body() {
         let cache = QueryCache::new(8 * 64);
-        assert!(!cache.insert(9, body(65, b'x')));
-        assert!(cache.get(9).is_none());
+        let (a, b) = (spec(1), spec(2));
+        cache.insert(7, &a, body(10, b'a'));
+        assert!(cache.get(7, &b).is_none(), "b hit a's body");
+        assert_eq!(*cache.get(7, &a).unwrap(), *body(10, b'a'));
+        cache.insert(7, &b, body(12, b'b'));
+        assert!(cache.get(7, &a).is_none(), "a hit b's body");
+        assert_eq!(*cache.get(7, &b).unwrap(), *body(12, b'b'));
         let stats = cache.stats();
-        assert_eq!(stats.oversize, 1);
-        assert_eq!(stats.bytes, 0);
+        assert_eq!((stats.hits, stats.misses), (2, 2));
+        assert_eq!((stats.entries, stats.bytes), (1, 12));
     }
 
-    #[test]
-    fn reinserting_a_key_replaces_the_body_in_place() {
-        let cache = QueryCache::new(8 * 64);
-        cache.insert(5, body(10, b'a'));
-        cache.insert(5, body(20, b'b'));
-        assert_eq!(cache.get(5).unwrap().len(), 20);
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.bytes, 20);
+    /// The scan-based LRU the index replaced: per shard, a flat list of
+    /// `(key, len, last_used)` searched linearly; the victim is the least
+    /// recently used.
+    #[derive(Default)]
+    struct Model {
+        shards: [Vec<(u64, usize, u64)>; SHARDS],
+        ticks: [u64; SHARDS],
     }
 
-    /// The acceptance invariant: a randomized 1 000-operation stress
-    /// never exceeds the byte cap — checked after *every* operation —
-    /// and actually exercises eviction.
+    impl Model {
+        fn shard(&mut self, key: u64) -> (&mut Vec<(u64, usize, u64)>, u64) {
+            let s = (key >> 61) as usize % SHARDS;
+            self.ticks[s] += 1;
+            (&mut self.shards[s], self.ticks[s])
+        }
+
+        fn get(&mut self, key: u64) -> Option<usize> {
+            let (shard, tick) = self.shard(key);
+            let entry = shard.iter_mut().find(|e| e.0 == key)?;
+            entry.2 = tick;
+            Some(entry.1)
+        }
+
+        /// Admits a body, returning how many entries it evicted.
+        fn insert(&mut self, key: u64, len: usize, shard_cap: usize) -> u64 {
+            let (shard, tick) = self.shard(key);
+            shard.retain(|e| e.0 != key);
+            let mut evicted = 0;
+            while shard.iter().map(|e| e.1).sum::<usize>() + len > shard_cap {
+                let victim = (0..shard.len()).min_by_key(|&i| shard[i].2).unwrap();
+                shard.swap_remove(victim);
+                evicted += 1;
+            }
+            shard.push((key, len, tick));
+            evicted
+        }
+    }
+
+    /// A seeded SplitMix64 stream of gets and inserts over a small cap —
+    /// forcing evictions, duplicate-key re-inserts and oversize refusals
+    /// — answers every get as the scan-based model does, agrees with it
+    /// on evictions and bytes, and never exceeds the cap.
     #[test]
-    fn randomized_stress_never_exceeds_the_cap() {
-        let cap = 4096;
+    fn the_index_agrees_with_the_scan_model_and_never_exceeds_the_cap() {
+        let (cap, shard_cap) = (8 * 256, 256);
         let cache = QueryCache::new(cap);
-        // Deterministic SplitMix64 stream: no RNG dependency, same
-        // stress every run.
+        let mut model = Model::default();
+        let (mut hits, mut evictions, mut reinserts) = (0, 0, 0);
         let mut state = 0x9e37_79b9_97f4_a7c5u64;
-        let mut next = move || {
+        for step in 0..5000 {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for _ in 0..1000 {
-            let r = next();
-            let key = r % 257;
-            if r % 3 == 0 {
-                let _ = cache.get(key);
+            let mut r = state;
+            r = (r ^ (r >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            r = (r ^ (r >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            r ^= r >> 31;
+            // 64 specs; the key's low three bits rotate up to pick the
+            // shard.
+            let n = r % 64;
+            let key = n.rotate_right(3);
+            let len = 1 + (r >> 16) as usize % 300;
+            if r.is_multiple_of(3) {
+                let got = cache.get(key, &spec(n)).map(|b| b.len());
+                assert_eq!(got, model.get(key), "step {step}: get {key:#x}");
+                hits += u64::from(got.is_some());
+            } else if len <= shard_cap {
+                reinserts += u64::from(model.shards.iter().flatten().any(|e| e.0 == key));
+                assert!(cache.insert(key, &spec(n), body(len, b'z')));
+                evictions += model.insert(key, len, shard_cap);
             } else {
-                let len = 1 + (r >> 16) as usize % 200;
-                cache.insert(key, body(len, b'z'));
+                assert!(!cache.insert(key, &spec(n), body(len, b'z')));
             }
             let stats = cache.stats();
+            let model_bytes: usize = model.shards.iter().flatten().map(|e| e.1).sum();
+            assert_eq!(stats.bytes, model_bytes, "step {step}");
             assert!(
                 stats.bytes <= cap,
-                "cache holds {} bytes, cap is {cap}",
+                "{} bytes over the {cap} cap",
                 stats.bytes
             );
         }
         let stats = cache.stats();
-        assert!(stats.evictions > 0, "stress should evict: {stats:?}");
-        assert!(stats.hits > 0 && stats.misses > 0);
+        assert_eq!((stats.hits, stats.evictions), (hits, evictions));
+        assert!(hits > 100 && evictions > 100 && reinserts > 100 && stats.oversize > 100);
     }
 }

@@ -345,17 +345,6 @@ impl QuerySpec {
             None
         }
     }
-
-    /// Rough cost of answering this spec, in admission-control units: a
-    /// point prices one design configuration, a sweep prices the whole
-    /// Table III space.
-    pub fn cost_units(&self) -> u64 {
-        match self.kind {
-            QueryKind::Point => 1,
-            QueryKind::Projection | QueryKind::Csr => 1,
-            QueryKind::Sweep => 64,
-        }
-    }
 }
 
 /// Splits a raw URL query string (`a=1&b=2`, percent-encoded) into

@@ -19,8 +19,9 @@
 //!   a connection arrives, and serves the connection itself;
 //! * each **connection thread** blocks in `read`, parses pipelined
 //!   HTTP/1.1 off its buffer, and answers in request order on that same
-//!   thread — warm `GET`s straight from a pre-serialized
-//!   [`respcache::ResponseCache`], everything else computed there too.
+//!   thread — warm registry `GET`s straight from a pre-serialized
+//!   [`respcache::ResponseCache`], warm `/query` specs of any spelling
+//!   from the query engine's LRU, everything else computed there too.
 //!   Connections are keep-alive by default (closing only on error,
 //!   `Connection: close`, or the idle timeout);
 //! * a **compute gate** bounds the computing: at most
@@ -73,9 +74,9 @@
 //! `ACCELWALL_FAULTS` (see the `accelwall-faults` crate); the
 //! `serve-request` static site fires per computed request at the top of
 //! the handler, and `serve-conn` fires per accepted connection at
-//! admission. While a fault plan is armed the response cache is
-//! bypassed entirely, so every request reaches the handler and its
-//! probes.
+//! admission. While a fault plan is armed the response cache and the
+//! early `/query` lookup are bypassed entirely, so every request reaches
+//! the handler and its probes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -88,6 +89,7 @@ mod conn;
 mod gate;
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -96,7 +98,7 @@ use accelerator_wall::artifacts::ArtifactCache;
 use accelerator_wall::error::Error;
 use accelerator_wall::json::Value;
 use accelwall_query::spec::{pairs_from_json, pairs_from_query};
-use accelwall_query::{QueryEngine, QueryError, QuerySpec};
+use accelwall_query::{Miss, QueryEngine, QueryError, QuerySpec};
 
 use conn::Crew;
 use gate::Gate;
@@ -109,7 +111,8 @@ use respcache::ResponseCache;
 pub struct ServerConfig {
     /// Bind address, `HOST:PORT`. Port 0 picks a free port.
     pub addr: String,
-    /// Requests computed at once; response-cache hits do not count.
+    /// Requests computed at once. Response-cache hits, and `/query`
+    /// specs the query engine's LRU already holds, take no slot.
     pub workers: usize,
     /// Requests allowed to wait for a compute slot beyond the busy
     /// ones; the rest are shed with `503`.
@@ -121,7 +124,8 @@ pub struct ServerConfig {
     /// before answering `504` (the compute itself keeps running and can
     /// settle the cache for later requests).
     pub compute_deadline: Duration,
-    /// Byte cap on the query engine's response LRU (`/query` routes).
+    /// Byte cap on the query engine's response LRU, the one store of
+    /// `/query` answers (the response cache keeps no copy).
     pub query_cache_bytes: usize,
     /// Hard cap on concurrently open connections; excess accepts are
     /// shed with an immediate `503` + close.
@@ -278,7 +282,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Maps one parsed request onto a route and a response.
+/// Maps one parsed request onto a route and a response: every route
+/// but `/query`, which arrives as an [`Ask`] parsed before the gate.
 fn route_request(request: &Request, shared: &Shared) -> (Route, Response) {
     let Shared {
         cache,
@@ -297,7 +302,6 @@ fn route_request(request: &Request, shared: &Shared) -> (Route, Response) {
     match request.path.as_str() {
         "/healthz" => get_only(Route::Healthz, Response::json(200, healthz_body(cache))),
         "/experiments" => get_only(Route::Experiments, Response::json(200, roster_body(cache))),
-        "/query" => (Route::Query, query_response(request, engine)),
         "/query/schema" => get_only(
             Route::QuerySchema,
             Response::json(200, {
@@ -456,19 +460,27 @@ fn failure_body(id: &str, error: &Error, attempts: Option<u32>, retryable: bool)
     body.into_bytes()
 }
 
-/// The `/query` body: parse the spec (query string for `GET`, JSON body
-/// for `POST`), answer it through the shared [`QueryEngine`], and map
-/// [`QueryError`] onto HTTP statuses.
-///
-/// * invalid spec (unknown field, bad value, wrong knob for the kind)
-///   — `400` with the same roster-carrying message the CLI prints;
-/// * admission control shedding — `503` with a `Retry-After` hint;
-/// * a transient compute failure (injected fault, deadline) — `500`/`504`
-///   with a typed JSON body and `Retry-After`, mirroring
-///   `/experiments/{id}` failure semantics;
-/// * a non-retryable compute error (e.g. a vacuous projection horizon)
-///   — `400`, because it is the caller's knobs that made it impossible.
-fn query_response(request: &Request, engine: &QueryEngine) -> Response {
+/// A `/query` request past its parse: its spec is parsed once per
+/// request, before the compute gate (see [`ask`]).
+enum Ask {
+    /// No valid spec — wrong method, a body that is not JSON, or a field
+    /// the roster refuses: this `400`/`405` answers the request.
+    Refused(Response),
+    /// A valid spec not looked up yet: a fault plan is armed, so even a
+    /// hit takes the gate and the `serve-request` probe.
+    Spec(QuerySpec),
+    /// A valid spec the engine's LRU does not hold.
+    Miss(QuerySpec, Miss),
+}
+
+/// Parses a `/query` request's spec — the query string of a `GET`, the
+/// JSON body of a `POST` — and, with `look_up` (no fault plan armed),
+/// answers an engine-LRU hit of the spec in any spelling right here,
+/// before the gate. The rest continues to the gate as an [`Ask`]; a
+/// refusal is a `400` with the roster-carrying message the CLI prints,
+/// or a `405`.
+fn ask(request: &Request, engine: &QueryEngine, look_up: bool) -> ControlFlow<Response, Ask> {
+    let refuse = |response| ControlFlow::Continue(Ask::Refused(response));
     let pairs = match request.method.as_str() {
         "GET" => pairs_from_query(&request.query),
         "POST" => match std::str::from_utf8(&request.body)
@@ -476,39 +488,59 @@ fn query_response(request: &Request, engine: &QueryEngine) -> Response {
             .and_then(|text| Value::parse(text).ok())
         {
             Some(doc) => pairs_from_json(&doc),
-            None => return Response::text(400, "request body is not valid JSON\n"),
+            None => return refuse(Response::text(400, "request body is not valid JSON\n")),
         },
-        _ => return Response::method_not_allowed("GET, POST"),
+        _ => return refuse(Response::method_not_allowed("GET, POST")),
     };
-    let answer = pairs
-        .and_then(|pairs| QuerySpec::from_pairs(&pairs))
-        .and_then(|spec| engine.answer(&spec));
-    match answer {
-        Ok(body) => Response::json(200, body.as_ref().clone()),
-        Err(e @ QueryError::Invalid(_)) => Response::text(400, format!("{e}\n")),
-        Err(e @ QueryError::Overloaded { .. }) => {
-            Response::text(503, format!("{e}\n")).with_retry_after(1)
-        }
-        Err(QueryError::Engine(e)) => {
-            let (status, kind, retryable) = match e.root_cause() {
-                Error::FaultInjected { .. } => (500, "injected", true),
-                Error::ComputeTimeout { .. } => (504, "timeout", true),
-                Error::ExperimentPanicked { .. } => (500, "panic", false),
-                _ => (400, "compute", false),
-            };
-            let mut body = Value::object([
-                ("error", Value::from(e.to_string())),
-                ("kind", Value::from(kind)),
-                ("retryable", Value::from(retryable)),
-            ])
-            .pretty();
-            body.push('\n');
-            let response = Response::json(status, body);
-            if retryable {
-                response.with_retry_after(1)
-            } else {
-                response
-            }
+    match pairs.and_then(|pairs| QuerySpec::from_pairs(&pairs)) {
+        Err(e) => refuse(Response::text(400, format!("{e}\n"))),
+        Ok(spec) if !look_up => ControlFlow::Continue(Ask::Spec(spec)),
+        Ok(spec) => match engine.lookup(&spec) {
+            Ok(body) => ControlFlow::Break(Response::json(200, body.to_vec())),
+            Err(miss) => ControlFlow::Continue(Ask::Miss(spec, miss)),
+        },
+    }
+}
+
+impl Ask {
+    /// Answers a `/query` request that passed the gate, mapping
+    /// [`QueryError`] onto HTTP statuses:
+    ///
+    /// * a transient compute failure (injected fault, deadline) —
+    ///   `500`/`504` with a typed JSON body and `Retry-After`, mirroring
+    ///   `/experiments/{id}` failure semantics;
+    /// * a non-retryable compute error (e.g. a vacuous projection
+    ///   horizon) — `400`, because it is the caller's knobs that made it
+    ///   impossible.
+    fn respond(self, engine: &QueryEngine) -> Response {
+        let answer = match self {
+            Ask::Refused(response) => return response,
+            Ask::Spec(spec) => engine.answer(&spec),
+            Ask::Miss(spec, miss) => engine.compute(&spec, miss),
+        };
+        let e = match answer {
+            Ok(body) => return Response::json(200, body.to_vec()),
+            Err(e @ QueryError::Invalid(_)) => return Response::text(400, format!("{e}\n")),
+            Err(QueryError::Engine(e)) => e,
+        };
+        let (status, kind, retryable) = match e.root_cause() {
+            Error::FaultInjected { .. } => (500, "injected", true),
+            Error::ComputeTimeout { .. } => (504, "timeout", true),
+            Error::ExperimentPanicked { .. } => (500, "panic", false),
+            _ => (400, "compute", false),
+        };
+        let mut body = Value::object([
+            ("error", Value::from(e.to_string())),
+            ("kind", Value::from(kind)),
+            ("retryable", Value::from(retryable)),
+        ])
+        .pretty();
+        body.push('\n');
+        let response = Response::json(status, body);
+        if retryable {
+            response.with_retry_after(1)
+        } else {
+            response
         }
     }
 }
@@ -662,24 +694,48 @@ mod tests {
         );
     }
 
+    fn query_spec(query: &str) -> QuerySpec {
+        QuerySpec::from_pairs(&pairs_from_query(query).expect("pairs")).expect("valid spec")
+    }
+
+    /// One spec's three spellings: canonical `GET`, reordered `GET`,
+    /// `POST`.
+    fn spellings(addr: SocketAddr) -> [(u16, String); 3] {
+        [
+            get(addr, "/query?workload=fft&node=7nm&lanes=4"),
+            get(addr, "/query?lanes=4&node=7nm&workload=fft"),
+            post(
+                addr,
+                "/query",
+                r#"{"workload": "fft", "node": "7nm", "lanes": 4}"#,
+            ),
+        ]
+    }
+
     #[test]
     fn query_routes_answer_shadow_and_introspect() {
         let (handle, join) = coarse_server();
         let addr = handle.addr();
 
-        // A cold point query computes; the identical warm repeat is
-        // served from the LRU — byte-identical, hit counter advances,
-        // compute counter does not.
-        let (status, cold) = get(addr, "/query?workload=fft&node=7nm&lanes=4");
-        assert_eq!(status, 200, "cold query: {cold}");
-        let report = Value::parse(&cold).expect("query body is valid JSON");
+        // One spec in three spellings is one engine-LRU entry: the
+        // canonical GET computes, the reordered GET and the POST are
+        // byte-identical hits, and the wire cache keeps no copy.
+        let (_, text) = get(addr, "/metrics");
+        let wire_inserts = metric(&text, "accelwall_response_cache_insertions_total");
+        let [cold, reordered, posted] = spellings(addr);
+        assert_eq!(cold.0, 200, "cold query: {}", cold.1);
+        let report = Value::parse(&cold.1).expect("query body is valid JSON");
         assert_eq!(report.get("kind").and_then(Value::as_str), Some("point"));
-        let (status, warm) = get(addr, "/query?lanes=4&node=7nm&workload=fft");
-        assert_eq!(status, 200);
-        assert_eq!(cold, warm, "warm repeat must be byte-identical");
+        assert_eq!(reordered, cold, "reordered spelling must be byte-identical");
+        assert_eq!(posted, cold, "POST spelling must be byte-identical");
         let (_, text) = get(addr, "/metrics");
         assert_eq!(metric(&text, "accelwall_query_computes_total"), 1);
-        assert_eq!(metric(&text, "accelwall_query_cache_hits_total"), 1);
+        assert_eq!(metric(&text, "accelwall_query_cache_hits_total"), 2);
+        assert_eq!(
+            metric(&text, "accelwall_response_cache_insertions_total"),
+            wire_inserts,
+            "a /query answer was copied into the wire cache"
+        );
 
         // A spec that shadows a registry target answers with the exact
         // artifact bytes that GET /experiments/{id} serves.
@@ -727,6 +783,75 @@ mod tests {
         );
         assert_eq!(status, 400, "out-of-range horizon: {body}");
         assert!(body.contains("not valid JSON"), "{body}");
+
+        handle.shutdown();
+        join.join().expect("server thread").expect("clean exit");
+    }
+
+    /// Two valid specs whose 64-bit keys collide: after `A` is cached,
+    /// `B` in every spelling still gets its own answer.
+    #[test]
+    fn specs_whose_keys_collide_each_get_their_own_answer() {
+        const A: &str = "kind=csr&reported=1833480505&physical=2067011688";
+        const B: &str = "kind=csr&reported=2414187501&physical=2690618908";
+        let key = |q| accelwall_query::cache_key(&query_spec(q));
+        assert_eq!(key(A), key(B), "the pair no longer collides");
+        let (handle, join) = coarse_server();
+        let addr = handle.addr();
+        assert_eq!(get(addr, &format!("/query?{A}")).0, 200);
+        let b_json = r#"{"kind": "csr", "reported": 2414187501, "physical": 2690618908}"#;
+        for (status, body) in [
+            get(addr, &format!("/query?{B}")),
+            get(
+                addr,
+                "/query?physical=2690618908&reported=2414187501&kind=csr",
+            ),
+            post(addr, "/query", b_json),
+        ] {
+            assert_eq!(status, 200, "{body}");
+            let doc = Value::parse(&body).expect("valid JSON");
+            let field = |name| doc.get(name).and_then(Value::as_f64);
+            assert_eq!(field("reported"), Some(2_414_187_501.0), "{body}");
+            assert_eq!(field("physical"), Some(2_690_618_908.0), "{body}");
+            assert_eq!(field("csr"), Some(0.897_261_033_073_807_6), "{body}");
+        }
+        handle.shutdown();
+        join.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn a_cached_spec_answers_in_every_spelling_while_the_gate_sheds() {
+        let cache = ArtifactCache::new(Registry::paper(), Ctx::with_space(SweepSpace::coarse()));
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            backlog: 0,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(config, cache).expect("bind");
+        let shared = Arc::clone(&server.shared);
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run());
+        let addr = handle.addr();
+        let (status, cached) = get(addr, "/query?workload=fft&node=7nm&lanes=4");
+        assert_eq!(status, 200, "{cached}");
+
+        // The test holds the only compute slot and nothing may wait:
+        // every spelling of the cached spec still answers, from the
+        // engine's LRU, while an uncached spec is shed.
+        let held = shared.gate.enter().expect("a free slot");
+        for (status, body) in spellings(addr) {
+            assert_eq!((status, &body), (200, &cached));
+        }
+        let (status, body) = get(addr, "/query?workload=aes");
+        assert_eq!(
+            (status, body.as_str()),
+            (503, "server saturated, retry later\n")
+        );
+        drop(held);
+        let (_, text) = get(addr, "/metrics");
+        assert_eq!(metric(&text, "accelwall_connections_rejected_total"), 1);
+        assert_eq!(metric(&text, "accelwall_query_computes_total"), 1);
 
         handle.shutdown();
         join.join().expect("server thread").expect("clean exit");

@@ -363,7 +363,6 @@ impl Metrics {
             ("cache_evictions_total", query.cache.evictions),
             ("cache_oversize_total", query.cache.oversize),
             ("computes_total", query.computes),
-            ("shed_total", query.shed),
         ] {
             let _ = writeln!(out, "accelwall_query_{name} {value}");
         }
@@ -377,8 +376,6 @@ impl Metrics {
             "accelwall_query_cache_capacity_bytes {}",
             query.cache.capacity_bytes
         );
-        out.push_str("# TYPE accelwall_query_in_flight_cost gauge\n");
-        let _ = writeln!(out, "accelwall_query_in_flight_cost {}", query.in_flight);
         out.push_str("# TYPE accelwall_worker_panics_total counter\n");
         let _ = writeln!(
             out,

@@ -3,8 +3,8 @@
 //! byte-identical to the CLI, contained experiment panics never reach
 //! the request handler, `serve-request` panics drop the connection and
 //! are counted, hangs turn into 504s while the compute settles in the
-//! background, query-engine faults (shedding and compute errors) answer
-//! retryably without poisoning the query LRU, and malformed
+//! background, query-engine compute faults answer retryably without
+//! poisoning the query LRU, and malformed
 //! `ACCELWALL_FAULTS` specs abort startup before the socket binds.
 
 mod common;
@@ -236,24 +236,15 @@ fn a_hung_compute_times_out_with_504_then_settles() {
     serve.shutdown_and_wait();
 }
 
-/// The query engine under an armed plan: `query-cache-admit:err:1`
-/// sheds the first spec with a 503 + Retry-After, `query-compute:err:1`
-/// fails the next miss with a retryable 500, and neither failure is
-/// memoized — the retry computes cleanly (200) and a further repeat is
-/// served from the LRU without another compute.
+/// The query engine under an armed plan: `query-compute:err:1` fails
+/// the first miss with a retryable 500, and the failure is not memoized
+/// — the retry computes cleanly (200) and a further repeat is served
+/// from the LRU without another compute.
 #[test]
-fn injected_query_faults_shed_then_fail_retryably_without_poisoning_the_cache() {
-    let serve = spawn("query-cache-admit:err:1,query-compute:err:1", &[]);
+fn injected_query_compute_faults_fail_retryably_without_poisoning_the_cache() {
+    let serve = spawn("query-compute:err:1", &[]);
     let addr = serve.addr.clone();
     let path = "/query?workload=fft&node=7nm&lanes=2";
-
-    let shed = get(&addr, path);
-    assert_eq!(shed.status, 503, "body:\n{}", shed.body);
-    assert!(
-        shed.header("retry-after").is_some(),
-        "shed 503 lacks Retry-After:\n{}",
-        shed.headers
-    );
 
     let failed = get(&addr, path);
     assert_eq!(failed.status, 500, "body:\n{}", failed.body);
@@ -275,17 +266,13 @@ fn injected_query_faults_shed_then_fail_retryably_without_poisoning_the_cache() 
     assert_eq!(warm.body, recovered.body, "warm repeat differs");
 
     let metrics = get(&addr, "/metrics").body;
-    assert_eq!(metric(&metrics, "accelwall_query_shed_total"), 1.0);
     assert_eq!(metric(&metrics, "accelwall_query_computes_total"), 2.0);
     assert_eq!(metric(&metrics, "accelwall_query_cache_hits_total"), 1.0);
     assert!(
-        metrics.contains(
-            "accelwall_fault_injections_total{site=\"query-cache-admit\",kind=\"err\"} 1"
-        ) && metrics
-            .contains("accelwall_fault_injections_total{site=\"query-compute\",kind=\"err\"} 1"),
-        "missing injection counters:\n{metrics}"
+        metrics.contains("accelwall_fault_injections_total{site=\"query-compute\",kind=\"err\"} 1"),
+        "missing injection counter:\n{metrics}"
     );
-    // Both faults stayed inside the engine: no worker died, and the
+    // The fault stayed inside the engine: no worker died, and the
     // artifact cache never saw a failure.
     assert_eq!(metric(&metrics, "accelwall_worker_panics_total"), 0.0);
     assert_eq!(
