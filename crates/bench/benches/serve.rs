@@ -210,10 +210,11 @@ fn main() {
     }
 
     // 4. Query engine: cold miss vs warm repeat. The warm repeats are
-    // engine-LRU hits, answered before the compute gate; the hit rate
-    // is "query answers served without spending a compute" — a
-    // before/after delta of the engine's compute counter over the query
-    // phase. CI gates it at 0.995 (one compute in 201 requests).
+    // served upstream of the engine (the server's pre-serialized
+    // response cache), so the hit rate is counted as "query answers
+    // served without spending a compute" — a before/after delta of the
+    // engine's compute counter over the query phase. CI gates it at
+    // 0.995 (one compute in 201 requests).
     const QUERY: &str = "/query?workload=fft&node=7nm&lanes=4";
     const QUERY_WARM_SAMPLES: u32 = 200;
     let counter = |metrics: &str, name: &str| -> f64 {

@@ -10,12 +10,11 @@
 //!
 //! **Serving.** The thread blocks in `read`, parses every complete
 //! pipelined request off its buffer (at most [`BATCH`] per pass), and
-//! answers them in order on this thread: response-cache hits (the
-//! registry renderings) from their shared bytes, `/query` hits from the
-//! query engine's LRU — the spec parsed once, before the gate, so every
-//! spelling hits — and everything else computed under the compute gate.
-//! The batch goes out in one gathered write before the thread blocks
-//! again.
+//! answers them in order on this thread: response-cache hits from their
+//! shared bytes, `/query` hits from the query engine's LRU — the spec
+//! parsed once, before the gate, so every spelling hits — and everything
+//! else computed under the compute gate. The batch goes out in one
+//! gathered write before the thread blocks again.
 //!
 //! **Draining.** The first crew thread that sees the shutdown flag
 //! wakes every parked crew thread, shuts the read half of every
@@ -33,7 +32,7 @@ use std::time::{Duration, Instant};
 use crate::http::{parse_bytes, ParseOutcome, Request, RequestError, Response, MAX_BODY_BYTES};
 use crate::metrics::Route;
 use crate::respcache::CachedResponse;
-use crate::{ask, lock, route_request, Shared};
+use crate::{ask, lock, query_response, route_request, Shared};
 
 /// Pipelined requests answered per pass before the batch is written.
 const BATCH: usize = 64;
@@ -307,7 +306,7 @@ struct Staged {
 /// request, or a shared response-cache entry and whether to send its
 /// keep-alive head (no copy on the warm path).
 enum Reply {
-    Owned(Vec<u8>, Vec<u8>),
+    Owned(Vec<u8>, Arc<Vec<u8>>),
     Cached(Arc<CachedResponse>, bool),
 }
 
@@ -449,17 +448,20 @@ fn answer_pipeline(
 }
 
 /// Answers one request on this thread: a response-cache hit from its
-/// shared bytes, a `/query` engine-LRU hit from the engine's bytes,
+/// shared bytes, a `/query` engine-LRU hit or refusal before the gate,
 /// anything else computed under the gate. `None` when the handler
 /// panicked; the connection is then dropped.
 fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
     let started = Instant::now();
     let metrics = &shared.metrics;
-    // While a fault plan is armed the response cache and the early
-    // `/query` lookup are skipped, so every request reaches the
-    // `serve-request` probe.
-    let armed = accelwall_faults::is_armed();
-    let key = if armed { None } else { cache_key(request) };
+    // While a fault plan is armed the response cache is bypassed, so
+    // every request it would have answered reaches the `serve-request`
+    // probe.
+    let key = if accelwall_faults::is_armed() {
+        None
+    } else {
+        cache_key(request)
+    };
     if let Some(entry) = key.as_deref().and_then(|key| shared.respcache.get(key)) {
         let (route, status) = (entry.route, entry.status);
         let reply = Reply::Cached(entry, request.keep_alive);
@@ -472,15 +474,12 @@ fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
     }
     let mut query = None;
     if request.path == "/query" {
-        match ask(request, &shared.engine, !armed) {
+        match ask(request, &shared.engine) {
             ControlFlow::Break(response) => {
-                return Some(Staged::owned(
-                    (Route::Query, response),
-                    request.keep_alive,
-                    started,
-                ));
+                let staged = Staged::owned((Route::Query, response), request.keep_alive, started);
+                return Some(staged);
             }
-            ControlFlow::Continue(pending) => query = Some(pending),
+            ControlFlow::Continue(miss) => query = Some(miss),
         }
     }
     let Some(_permit) = shared.gate.enter() else {
@@ -503,7 +502,9 @@ fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
             match accelwall_faults::probe(accelwall_faults::sites::SERVE_REQUEST) {
                 Err(fault) => (Route::Other, Response::text(500, format!("{fault}\n"))),
                 Ok(()) => match query {
-                    Some(pending) => (Route::Query, pending.respond(&shared.engine)),
+                    Some((spec, miss)) => {
+                        (Route::Query, query_response(&shared.engine, &spec, miss))
+                    }
                     None => route_request(request, shared),
                 },
             };
@@ -522,11 +523,8 @@ fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
 }
 
 /// The response-cache key for a request, when its shape is cacheable:
-/// `GET` on the registry renderings — the roster, the query schema, and
-/// each artifact in its two `Accept` variants, at most 64 entries in
-/// all. `/query` answers live once, in the query engine's LRU; and
-/// `/healthz`, `/metrics`, and `/shutdown` change per request. Those
-/// return `None`.
+/// `GET` on the immutable-content routes. `/healthz`, `/metrics`, and
+/// `/shutdown` change per request and return `None`.
 fn cache_key(request: &Request) -> Option<String> {
     if request.method != "GET" || !request.body.is_empty() {
         return None;
@@ -534,6 +532,7 @@ fn cache_key(request: &Request) -> Option<String> {
     match request.path.as_str() {
         "/experiments" => Some("roster".to_string()),
         "/query/schema" => Some("schema".to_string()),
+        "/query" => Some(format!("query?{}", request.query)),
         path => path.strip_prefix("/experiments/").map(|id| {
             let variant = if request.wants_plain_text() { 't' } else { 'j' };
             format!("exp:{id}:{variant}")

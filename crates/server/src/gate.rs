@@ -1,7 +1,7 @@
 //! The compute gate: backpressure for requests that need computing —
 //! not response-cache hits, and not `/query` specs the query engine's
-//! LRU already holds (the connection thread parses the spec and looks
-//! it up before it enters the gate).
+//! LRU already holds or refuses (the connection thread parses the spec
+//! and looks it up before it enters the gate).
 //!
 //! Connection threads compute their own requests, so the gate is what
 //! bounds compute concurrency: at most `limit` requests compute at

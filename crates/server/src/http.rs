@@ -25,6 +25,7 @@
 //! mistaken for the next pipelined request.
 
 use std::io::Write;
+use std::sync::Arc;
 
 /// Upper bound on the request head (request line + all headers).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -251,19 +252,26 @@ pub struct Response {
     /// Extra `Retry-After` header (seconds) for 500/503/504 responses
     /// whose failure is expected to heal.
     pub retry_after: Option<u64>,
-    /// Response body bytes.
-    pub body: Vec<u8>,
+    /// Response body bytes, shareable with the cache that holds them.
+    pub body: Arc<Vec<u8>>,
 }
 
 impl Response {
     /// A JSON body (already serialized).
     pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Response {
+        Response::shared_json(status, Arc::new(body.into()))
+    }
+
+    /// A JSON body another cache already holds (a query engine answer):
+    /// the response, and a response-cache entry made from it, share
+    /// those bytes instead of copying them.
+    pub fn shared_json(status: u16, body: Arc<Vec<u8>>) -> Response {
         Response {
             status,
             content_type: "application/json",
             allow: None,
             retry_after: None,
-            body: body.into(),
+            body,
         }
     }
 
@@ -274,7 +282,7 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             allow: None,
             retry_after: None,
-            body: body.into(),
+            body: Arc::new(body.into()),
         }
     }
 
@@ -285,7 +293,7 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             allow: Some(allow),
             retry_after: None,
-            body: format!("method not allowed; use {allow}\n").into_bytes(),
+            body: Arc::new(format!("method not allowed; use {allow}\n").into_bytes()),
         }
     }
 

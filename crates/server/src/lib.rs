@@ -19,9 +19,10 @@
 //!   a connection arrives, and serves the connection itself;
 //! * each **connection thread** blocks in `read`, parses pipelined
 //!   HTTP/1.1 off its buffer, and answers in request order on that same
-//!   thread — warm registry `GET`s straight from a pre-serialized
-//!   [`respcache::ResponseCache`], warm `/query` specs of any spelling
-//!   from the query engine's LRU, everything else computed there too.
+//!   thread — warm `GET`s straight from a pre-serialized
+//!   [`respcache::ResponseCache`], warm `/query` specs of any other
+//!   spelling from the query engine's LRU, everything else computed
+//!   there too.
 //!   Connections are keep-alive by default (closing only on error,
 //!   `Connection: close`, or the idle timeout);
 //! * a **compute gate** bounds the computing: at most
@@ -74,9 +75,10 @@
 //! `ACCELWALL_FAULTS` (see the `accelwall-faults` crate); the
 //! `serve-request` static site fires per computed request at the top of
 //! the handler, and `serve-conn` fires per accepted connection at
-//! admission. While a fault plan is armed the response cache and the
-//! early `/query` lookup are bypassed entirely, so every request reaches
-//! the handler and its probes.
+//! admission. While a fault plan is armed the response cache is
+//! bypassed entirely, so every request it would have answered reaches
+//! the handler and its probes; a `/query` spec the query engine's LRU
+//! holds is still answered before the gate, since nothing computes it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -124,8 +126,8 @@ pub struct ServerConfig {
     /// before answering `504` (the compute itself keeps running and can
     /// settle the cache for later requests).
     pub compute_deadline: Duration,
-    /// Byte cap on the query engine's response LRU, the one store of
-    /// `/query` answers (the response cache keeps no copy).
+    /// Byte cap on the query engine's response LRU (`/query` routes;
+    /// the response cache shares its bodies rather than copying them).
     pub query_cache_bytes: usize,
     /// Hard cap on concurrently open connections; excess accepts are
     /// shed with an immediate `503` + close.
@@ -283,7 +285,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Maps one parsed request onto a route and a response: every route
-/// but `/query`, which arrives as an [`Ask`] parsed before the gate.
+/// but `/query`, whose spec [`ask`] parses before the gate.
 fn route_request(request: &Request, shared: &Shared) -> (Route, Response) {
     let Shared {
         cache,
@@ -460,27 +462,13 @@ fn failure_body(id: &str, error: &Error, attempts: Option<u32>, retryable: bool)
     body.into_bytes()
 }
 
-/// A `/query` request past its parse: its spec is parsed once per
-/// request, before the compute gate (see [`ask`]).
-enum Ask {
-    /// No valid spec — wrong method, a body that is not JSON, or a field
-    /// the roster refuses: this `400`/`405` answers the request.
-    Refused(Response),
-    /// A valid spec not looked up yet: a fault plan is armed, so even a
-    /// hit takes the gate and the `serve-request` probe.
-    Spec(QuerySpec),
-    /// A valid spec the engine's LRU does not hold.
-    Miss(QuerySpec, Miss),
-}
-
 /// Parses a `/query` request's spec — the query string of a `GET`, the
-/// JSON body of a `POST` — and, with `look_up` (no fault plan armed),
-/// answers an engine-LRU hit of the spec in any spelling right here,
-/// before the gate. The rest continues to the gate as an [`Ask`]; a
-/// refusal is a `400` with the roster-carrying message the CLI prints,
-/// or a `405`.
-fn ask(request: &Request, engine: &QueryEngine, look_up: bool) -> ControlFlow<Response, Ask> {
-    let refuse = |response| ControlFlow::Continue(Ask::Refused(response));
+/// JSON body of a `POST` — once, before the compute gate, and looks it
+/// up in the query engine's LRU. A hit answers right here, in any
+/// spelling, and so does a refusal: a `400` with the roster-carrying
+/// message the CLI prints, or a `405`. A miss continues to the gate with
+/// its spec, for [`query_response`] to compute.
+fn ask(request: &Request, engine: &QueryEngine) -> ControlFlow<Response, (QuerySpec, Miss)> {
     let pairs = match request.method.as_str() {
         "GET" => pairs_from_query(&request.query),
         "POST" => match std::str::from_utf8(&request.body)
@@ -488,60 +476,55 @@ fn ask(request: &Request, engine: &QueryEngine, look_up: bool) -> ControlFlow<Re
             .and_then(|text| Value::parse(text).ok())
         {
             Some(doc) => pairs_from_json(&doc),
-            None => return refuse(Response::text(400, "request body is not valid JSON\n")),
+            None => {
+                let response = Response::text(400, "request body is not valid JSON\n");
+                return ControlFlow::Break(response);
+            }
         },
-        _ => return refuse(Response::method_not_allowed("GET, POST")),
+        _ => return ControlFlow::Break(Response::method_not_allowed("GET, POST")),
     };
-    match pairs.and_then(|pairs| QuerySpec::from_pairs(&pairs)) {
-        Err(e) => refuse(Response::text(400, format!("{e}\n"))),
-        Ok(spec) if !look_up => ControlFlow::Continue(Ask::Spec(spec)),
-        Ok(spec) => match engine.lookup(&spec) {
-            Ok(body) => ControlFlow::Break(Response::json(200, body.to_vec())),
-            Err(miss) => ControlFlow::Continue(Ask::Miss(spec, miss)),
-        },
+    let spec = match pairs.and_then(|pairs| QuerySpec::from_pairs(&pairs)) {
+        Ok(spec) => spec,
+        Err(e) => return ControlFlow::Break(Response::text(400, format!("{e}\n"))),
+    };
+    match engine.lookup(&spec) {
+        Ok(body) => ControlFlow::Break(Response::shared_json(200, body)),
+        Err(miss) => ControlFlow::Continue((spec, miss)),
     }
 }
 
-impl Ask {
-    /// Answers a `/query` request that passed the gate, mapping
-    /// [`QueryError`] onto HTTP statuses:
-    ///
-    /// * a transient compute failure (injected fault, deadline) —
-    ///   `500`/`504` with a typed JSON body and `Retry-After`, mirroring
-    ///   `/experiments/{id}` failure semantics;
-    /// * a non-retryable compute error (e.g. a vacuous projection
-    ///   horizon) — `400`, because it is the caller's knobs that made it
-    ///   impossible.
-    fn respond(self, engine: &QueryEngine) -> Response {
-        let answer = match self {
-            Ask::Refused(response) => return response,
-            Ask::Spec(spec) => engine.answer(&spec),
-            Ask::Miss(spec, miss) => engine.compute(&spec, miss),
-        };
-        let e = match answer {
-            Ok(body) => return Response::json(200, body.to_vec()),
-            Err(e @ QueryError::Invalid(_)) => return Response::text(400, format!("{e}\n")),
-            Err(QueryError::Engine(e)) => e,
-        };
-        let (status, kind, retryable) = match e.root_cause() {
-            Error::FaultInjected { .. } => (500, "injected", true),
-            Error::ComputeTimeout { .. } => (504, "timeout", true),
-            Error::ExperimentPanicked { .. } => (500, "panic", false),
-            _ => (400, "compute", false),
-        };
-        let mut body = Value::object([
-            ("error", Value::from(e.to_string())),
-            ("kind", Value::from(kind)),
-            ("retryable", Value::from(retryable)),
-        ])
-        .pretty();
-        body.push('\n');
-        let response = Response::json(status, body);
-        if retryable {
-            response.with_retry_after(1)
-        } else {
-            response
-        }
+/// Computes the `/query` answer for a spec [`ask`] missed, under the
+/// gate, and maps [`QueryError`] onto HTTP statuses:
+///
+/// * a transient compute failure (injected fault, deadline) —
+///   `500`/`504` with a typed JSON body and `Retry-After`, mirroring
+///   `/experiments/{id}` failure semantics;
+/// * a non-retryable compute error (e.g. a vacuous projection horizon)
+///   — `400`, because it is the caller's knobs that made it impossible.
+fn query_response(engine: &QueryEngine, spec: &QuerySpec, miss: Miss) -> Response {
+    let e = match engine.compute(spec, miss) {
+        Ok(body) => return Response::shared_json(200, body),
+        Err(e @ QueryError::Invalid(_)) => return Response::text(400, format!("{e}\n")),
+        Err(QueryError::Engine(e)) => e,
+    };
+    let (status, kind, retryable) = match e.root_cause() {
+        Error::FaultInjected { .. } => (500, "injected", true),
+        Error::ComputeTimeout { .. } => (504, "timeout", true),
+        Error::ExperimentPanicked { .. } => (500, "panic", false),
+        _ => (400, "compute", false),
+    };
+    let mut body = Value::object([
+        ("error", Value::from(e.to_string())),
+        ("kind", Value::from(kind)),
+        ("retryable", Value::from(retryable)),
+    ])
+    .pretty();
+    body.push('\n');
+    let response = Response::json(status, body);
+    if retryable {
+        response.with_retry_after(1)
+    } else {
+        response
     }
 }
 
@@ -719,9 +702,7 @@ mod tests {
 
         // One spec in three spellings is one engine-LRU entry: the
         // canonical GET computes, the reordered GET and the POST are
-        // byte-identical hits, and the wire cache keeps no copy.
-        let (_, text) = get(addr, "/metrics");
-        let wire_inserts = metric(&text, "accelwall_response_cache_insertions_total");
+        // byte-identical hits.
         let [cold, reordered, posted] = spellings(addr);
         assert_eq!(cold.0, 200, "cold query: {}", cold.1);
         let report = Value::parse(&cold.1).expect("query body is valid JSON");
@@ -731,11 +712,6 @@ mod tests {
         let (_, text) = get(addr, "/metrics");
         assert_eq!(metric(&text, "accelwall_query_computes_total"), 1);
         assert_eq!(metric(&text, "accelwall_query_cache_hits_total"), 2);
-        assert_eq!(
-            metric(&text, "accelwall_response_cache_insertions_total"),
-            wire_inserts,
-            "a /query answer was copied into the wire cache"
-        );
 
         // A spec that shadows a registry target answers with the exact
         // artifact bytes that GET /experiments/{id} serves.
@@ -815,44 +791,6 @@ mod tests {
             assert_eq!(field("physical"), Some(2_690_618_908.0), "{body}");
             assert_eq!(field("csr"), Some(0.897_261_033_073_807_6), "{body}");
         }
-        handle.shutdown();
-        join.join().expect("server thread").expect("clean exit");
-    }
-
-    #[test]
-    fn a_cached_spec_answers_in_every_spelling_while_the_gate_sheds() {
-        let cache = ArtifactCache::new(Registry::paper(), Ctx::with_space(SweepSpace::coarse()));
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            backlog: 0,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind(config, cache).expect("bind");
-        let shared = Arc::clone(&server.shared);
-        let handle = server.handle();
-        let join = std::thread::spawn(move || server.run());
-        let addr = handle.addr();
-        let (status, cached) = get(addr, "/query?workload=fft&node=7nm&lanes=4");
-        assert_eq!(status, 200, "{cached}");
-
-        // The test holds the only compute slot and nothing may wait:
-        // every spelling of the cached spec still answers, from the
-        // engine's LRU, while an uncached spec is shed.
-        let held = shared.gate.enter().expect("a free slot");
-        for (status, body) in spellings(addr) {
-            assert_eq!((status, &body), (200, &cached));
-        }
-        let (status, body) = get(addr, "/query?workload=aes");
-        assert_eq!(
-            (status, body.as_str()),
-            (503, "server saturated, retry later\n")
-        );
-        drop(held);
-        let (_, text) = get(addr, "/metrics");
-        assert_eq!(metric(&text, "accelwall_connections_rejected_total"), 1);
-        assert_eq!(metric(&text, "accelwall_query_computes_total"), 1);
-
         handle.shutdown();
         join.join().expect("server thread").expect("clean exit");
     }
@@ -1201,6 +1139,15 @@ mod tests {
         let handle = server.handle();
         let join = std::thread::spawn(move || server.run());
         let addr = handle.addr();
+        // A cached spec, held once: the canonical GET's response-cache
+        // entry and the engine's LRU entry share one body.
+        let (status, cached) = get(addr, "/query?workload=fft&node=7nm&lanes=4");
+        assert_eq!(status, 200, "{cached}");
+        let wire = shared.respcache.get("query?workload=fft&node=7nm&lanes=4");
+        let lru = shared
+            .engine
+            .lookup(&query_spec("workload=fft&node=7nm&lanes=4"));
+        assert!(matches!((wire, lru), (Some(w), Ok(l)) if Arc::ptr_eq(&w.body, &l)));
 
         // The test holds the only compute slot, so the next request
         // waits in the backlog...
@@ -1211,17 +1158,25 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "never queued");
             std::thread::sleep(Duration::from_millis(1));
         }
-        // ...and with the backlog full too, the one after is shed.
-        let (status, body) = get(addr, "/healthz");
-        assert_eq!(
-            (status, body.as_str()),
-            (503, "server saturated, retry later\n")
-        );
+        // ...and with the backlog full too, the ones after are shed,
+        // an uncached spec among them — but every spelling of the
+        // cached spec needs no slot and still answers.
+        for path in ["/healthz", "/query?workload=aes"] {
+            let (status, body) = get(addr, path);
+            assert_eq!(
+                (status, body.as_str()),
+                (503, "server saturated, retry later\n")
+            );
+        }
+        for (status, body) in spellings(addr) {
+            assert_eq!((status, &body), (200, &cached));
+        }
         drop(held);
         let (status, _) = second.join().expect("second client");
         assert_eq!(status, 200, "the queued request runs once the slot frees");
         let (_, text) = get(addr, "/metrics");
-        assert_eq!(metric(&text, "accelwall_connections_rejected_total"), 1);
+        assert_eq!(metric(&text, "accelwall_connections_rejected_total"), 2);
+        assert_eq!(metric(&text, "accelwall_query_computes_total"), 1);
 
         handle.shutdown();
         join.join().expect("server thread").expect("clean exit");

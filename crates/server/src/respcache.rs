@@ -3,29 +3,33 @@
 //! The artifact cache memoizes *computed results*; this cache memoizes
 //! the *wire bytes* built from them — header block (both persistence
 //! modes, `Content-Length` precomputed) plus body — keyed by the request
-//! shape (`path`, `Accept` variant). A warm request on its connection
-//! thread is then parse → key → one lookup → `writev`, never
-//! re-rendering JSON and never taking a compute slot.
+//! shape (`path`, query string, `Accept` variant). A warm request on
+//! its connection thread is then parse → key → one lookup → `writev`,
+//! never re-rendering JSON and never taking a compute slot.
 //!
 //! Only safe entries are admitted, by the request handler in `conn.rs`:
-//! `GET` requests answering `200` on the registry renderings
-//! (`/experiments`, `/experiments/{id}`, `/query/schema`). Those bodies
-//! are deterministic for the lifetime of the process — the artifact
-//! cache memoizes forever — so entries can never go stale. `/query`
-//! answers are not admitted: they live once, in the query engine's LRU,
-//! which every spelling of a spec reaches. `/healthz` and `/metrics`
-//! change per request and are never cached; non-200s (404 rosters,
-//! failure bodies) are recomputed so retry semantics stay live.
+//! `GET` requests answering `200` on the immutable-content routes
+//! (`/experiments`, `/experiments/{id}`, `/query`, `/query/schema`).
+//! Those bodies are deterministic for the lifetime of the process — the
+//! artifact cache memoizes forever and query answers are canonical — so
+//! entries can never go stale. `/healthz` and `/metrics` change per
+//! request and are never cached; non-200s (404 rosters, failure bodies)
+//! are recomputed so retry semantics stay live. A `/query` entry shares
+//! its body with the query engine's LRU — one allocation, referenced
+//! from both — so the answer's bytes are held once; the entry adds only
+//! its key and its two heads.
 //!
-//! Eviction is LRU under a hard byte cap: a logical tick orders entries,
-//! eviction removes the least-recently-used until the newcomer fits, and
-//! an entry larger than the whole cap is refused outright. Lookups scan
-//! a flat `Vec` guarded by one mutex — the entry count is bounded by the
-//! registry (the roster, the schema, and each artifact in its two
-//! `Accept` variants: at most 64 entries), so the cap never binds in
-//! serving — and the scan compares a precomputed 64-bit key hash before
-//! ever touching the key string, so the warm path stays cheap and
-//! deterministic (no hash-order iteration anywhere).
+//! Eviction is LRU under a hard byte cap, mirroring the query engine's
+//! LRU discipline: a logical tick orders entries, eviction removes the
+//! least-recently-used until the newcomer fits, and an entry larger
+//! than the whole cap is refused outright. An entry's cost counts its
+//! body even when the body is shared, so the cap also bounds the bytes
+//! this cache keeps alive after the query LRU lets them go. Lookups
+//! scan a flat `Vec` guarded by one mutex — entry counts are small
+//! (bounded by the registry + query working set under the byte cap) and
+//! the scan compares a precomputed 64-bit key hash before ever touching
+//! the key string, so the warm path stays cheap and deterministic (no
+//! hash-order iteration anywhere).
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -46,8 +50,8 @@ pub struct CachedResponse {
     pub head_keep: Vec<u8>,
     /// Header block ending in `\r\n\r\n`, `Connection: close`.
     pub head_close: Vec<u8>,
-    /// Response body bytes.
-    pub body: Vec<u8>,
+    /// Response body bytes, shared with the response they came from.
+    pub body: Arc<Vec<u8>>,
 }
 
 /// A point-in-time snapshot of the cache counters for `/metrics`.
@@ -153,7 +157,7 @@ impl ResponseCache {
             route,
             head_keep: response.head_bytes(true),
             head_close: response.head_bytes(false),
-            body: response.body.clone(),
+            body: Arc::clone(&response.body),
         };
         let cost = key.len() + cached.head_keep.len() + cached.head_close.len() + cached.body.len();
         if cost > self.capacity {
