@@ -3,11 +3,17 @@
 //! Several paper targets start from the same expensive computations: the
 //! synthetic datasheet corpus (Figs. 3b/3c), the fitted transistor-count
 //! law (Fig. 3b), the calibrated potential model (Fig. 3d, dark silicon,
-//! the roadmap), and the per-workload Table III sweeps (Figs. 13/14). A
-//! `Ctx` computes each of these exactly once per process — concurrent
-//! callers block on the same [`OnceLock`] rather than recomputing — and
-//! counts computes vs. requests so tests can assert the "at most once"
-//! guarantee instead of trusting it.
+//! the roadmap), the per-workload bytecode programs, and the
+//! per-workload Table III sweeps (Figs. 13/14). A `Ctx` computes each of
+//! these exactly once per process — concurrent callers block on the same
+//! [`OnceLock`] rather than recomputing — and counts computes vs.
+//! requests so tests can assert the "at most once" guarantee instead of
+//! trusting it.
+//!
+//! A workload's front-end graph is read only by its one-time lowering,
+//! so [`Ctx::program`] builds the graph inside the program's once-cell,
+//! lowers it and drops it: a `Ctx` holds each workload's program, never
+//! its graph.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -32,7 +38,6 @@ pub struct Ctx {
     density_fit: OnceLock<Result<PowerLaw>>,
     model: OnceLock<PotentialModel>,
     sweeps: Vec<OnceLock<Result<Vec<SweepPoint>>>>,
-    dfgs: Vec<OnceLock<Dfg>>,
     programs: Vec<OnceLock<Arc<Program>>>,
     corpus_computes: AtomicUsize,
     corpus_requests: AtomicUsize,
@@ -42,8 +47,6 @@ pub struct Ctx {
     model_requests: AtomicUsize,
     sweep_computes: AtomicUsize,
     sweep_requests: AtomicUsize,
-    dfg_computes: AtomicUsize,
-    dfg_requests: AtomicUsize,
     lowerings: AtomicUsize,
     program_requests: AtomicUsize,
     program_nodes: AtomicUsize,
@@ -76,13 +79,10 @@ pub struct CtxCounters {
     pub sweep_computes: usize,
     /// Times [`Ctx::sweep`] was called.
     pub sweep_requests: usize,
-    /// Workload DFGs actually built.
-    pub dfg_computes: usize,
-    /// Times [`Ctx::dfg`] was called.
-    pub dfg_requests: usize,
-    /// Graphs actually lowered to bytecode programs. The pipeline
-    /// invariant is one lowering per distinct workload regardless of how
-    /// many sweep points or toggle chains consume the program.
+    /// Graphs actually built and lowered to bytecode programs. The
+    /// pipeline invariant is one lowering per distinct workload
+    /// regardless of how many sweep points or toggle chains consume the
+    /// program.
     pub lowerings: usize,
     /// Times [`Ctx::program`] was called.
     pub program_requests: usize,
@@ -109,7 +109,6 @@ impl Ctx {
             density_fit: OnceLock::new(),
             model: OnceLock::new(),
             sweeps: Workload::all().iter().map(|_| OnceLock::new()).collect(),
-            dfgs: Workload::all().iter().map(|_| OnceLock::new()).collect(),
             programs: Workload::all().iter().map(|_| OnceLock::new()).collect(),
             corpus_computes: AtomicUsize::new(0),
             corpus_requests: AtomicUsize::new(0),
@@ -119,8 +118,6 @@ impl Ctx {
             model_requests: AtomicUsize::new(0),
             sweep_computes: AtomicUsize::new(0),
             sweep_requests: AtomicUsize::new(0),
-            dfg_computes: AtomicUsize::new(0),
-            dfg_requests: AtomicUsize::new(0),
             lowerings: AtomicUsize::new(0),
             program_requests: AtomicUsize::new(0),
             program_nodes: AtomicUsize::new(0),
@@ -197,32 +194,23 @@ impl Ctx {
         .map_err(Clone::clone)
     }
 
-    /// The memoized DFG lowering of `workload` (its default instance).
-    /// Shared by the sweep and attribution paths so the graph is built
-    /// once per process instead of once per caller.
+    /// Builds `workload`'s front-end graph (its default instance). Not
+    /// memoized: nothing reads a graph after its lowering, so a `Ctx`
+    /// keeps only the program ([`Ctx::program`]), and each call builds
+    /// a fresh graph the caller owns.
     ///
     /// # Errors
     ///
-    /// [`Error::UnknownWorkload`] for a workload outside the roster.
-    pub fn dfg(&self, workload: Workload) -> Result<&Dfg> {
-        self.dfg_requests.fetch_add(1, Ordering::Relaxed);
-        let slot = Workload::all()
-            .iter()
-            .position(|&w| w == workload)
-            .and_then(|i| self.dfgs.get(i))
-            .ok_or_else(|| Error::UnknownWorkload {
-                name: format!("{workload:?}"),
-            })?;
-        Ok(slot.get_or_init(|| {
-            self.dfg_computes.fetch_add(1, Ordering::Relaxed);
-            workload.default_instance()
-        }))
+    /// None today; the `Result` keeps the accessor's shape.
+    pub fn dfg(&self, workload: Workload) -> Result<Dfg> {
+        Ok(workload.default_instance())
     }
 
-    /// The memoized bytecode lowering of `workload`'s DFG, shared behind
+    /// The memoized bytecode lowering of `workload`'s graph, shared behind
     /// an [`Arc`] so the sweep, the scheduler, and the attribution toggle
-    /// chain all run over one flat program per workload. The `lowerings`
-    /// counter (and the `/metrics` gauge it feeds) makes the
+    /// chain all run over one flat program per workload. The graph is
+    /// built inside the once-cell and dropped after the lowering. The
+    /// `lowerings` counter (and the `/metrics` gauge it feeds) makes the
     /// once-per-workload invariant observable.
     ///
     /// # Errors
@@ -237,11 +225,10 @@ impl Ctx {
             .ok_or_else(|| Error::UnknownWorkload {
                 name: format!("{workload:?}"),
             })?;
-        let dfg = self.dfg(workload)?;
         Ok(slot
             .get_or_init(|| {
                 self.lowerings.fetch_add(1, Ordering::Relaxed);
-                let program = Arc::new(dfg.lower());
+                let program = Arc::new(workload.default_instance().lower());
                 self.program_nodes
                     .fetch_add(program.vertex_count(), Ordering::Relaxed);
                 self.program_edges
@@ -264,8 +251,6 @@ impl Ctx {
             model_requests: self.model_requests.load(Ordering::Relaxed),
             sweep_computes: self.sweep_computes.load(Ordering::Relaxed),
             sweep_requests: self.sweep_requests.load(Ordering::Relaxed),
-            dfg_computes: self.dfg_computes.load(Ordering::Relaxed),
-            dfg_requests: self.dfg_requests.load(Ordering::Relaxed),
             lowerings: self.lowerings.load(Ordering::Relaxed),
             program_requests: self.program_requests.load(Ordering::Relaxed),
             program_nodes: self.program_nodes.load(Ordering::Relaxed),
@@ -335,7 +320,6 @@ mod tests {
         let c = ctx.counters();
         assert_eq!(c.lowerings, 1);
         assert_eq!(c.program_requests, 3);
-        assert_eq!(c.dfg_computes, 1);
         assert_eq!(c.program_nodes, a.vertex_count());
         assert_eq!(c.program_edges, a.edge_count());
         assert_eq!(c.program_bytes, a.size_bytes());
@@ -349,6 +333,7 @@ mod tests {
                 s.spawn(|| {
                     ctx.corpus();
                     ctx.potential_model();
+                    ctx.program(Workload::Red).unwrap();
                     ctx.sweep(Workload::Red).unwrap();
                 });
             }
@@ -356,6 +341,9 @@ mod tests {
         let c = ctx.counters();
         assert_eq!(c.corpus_computes, 1);
         assert_eq!(c.model_computes, 1);
+        // The graph build lives in the program's once-cell: one build
+        // and one lowering, however the eight threads interleave.
+        assert_eq!(c.lowerings, 1);
         assert_eq!(c.sweep_computes, 1);
         assert_eq!(c.corpus_requests, 8);
     }

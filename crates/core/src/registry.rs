@@ -5,11 +5,14 @@
 //! [`Registry::paper`] — there is no hand-maintained list of target
 //! names anywhere else, so the documentation cannot drift from the code.
 //!
-//! [`Registry::run_all`] executes experiments wave by wave: experiments
-//! with no unfinished dependencies run concurrently under
-//! [`std::thread::scope`], sharing one [`Ctx`] whose memoization makes
-//! the shared inputs (corpus, potential model, per-workload sweeps)
-//! compute exactly once per process no matter the interleaving.
+//! [`Registry::run_all`] executes experiments one at a time on the
+//! calling thread, in schedule order (every experiment after its
+//! dependencies), sharing one [`Ctx`] whose memoization makes the shared
+//! inputs (corpus, potential model, per-workload programs and sweeps)
+//! compute exactly once per process. Each experiment runs under
+//! [`catch_unwind`], so a panic fails its own slot and no other.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::cache::Ctx;
 use crate::error::{Error, Result};
@@ -186,56 +189,38 @@ impl Registry {
         Ok(waves)
     }
 
-    /// Runs every experiment, waves in sequence and each wave's members
-    /// concurrently, sharing `ctx`. Results come back in registry order;
-    /// per-experiment failures are reported in place rather than
-    /// aborting the sibling experiments.
+    /// Runs every experiment on the calling thread, in schedule order,
+    /// sharing `ctx`. Results come back in registry order; a failure or
+    /// a panic is reported in the experiment's own slot
+    /// ([`Error::ExperimentPanicked`] for a panic) rather than aborting
+    /// the experiments after it.
     ///
     /// # Errors
     ///
     /// Only scheduling failures ([`Registry::schedule`]) fail the whole
     /// run.
     pub fn run_all(&self, ctx: &Ctx) -> Result<Vec<(&'static str, Result<Artifact>)>> {
-        let waves = self.schedule()?;
-        let mut results: Vec<Option<Result<Artifact>>> =
-            self.experiments.iter().map(|_| None).collect();
-        for wave in waves {
-            let wave_results: Vec<(usize, Result<Artifact>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|&i| {
-                        let exp = self.experiments[i].as_ref();
-                        (i, scope.spawn(move || exp.run(ctx)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(i, handle)| {
-                        let result = handle.join().unwrap_or_else(|_| {
-                            Err(Error::ExperimentPanicked {
-                                id: self.experiments[i].id().to_string(),
-                            })
-                        });
-                        (i, result)
-                    })
-                    .collect()
-            });
-            for (i, result) in wave_results {
-                results[i] = Some(result);
-            }
-        }
-        Ok(self
-            .experiments
-            .iter()
-            .zip(results)
-            .map(|(e, r)| {
-                let r = r.unwrap_or_else(|| {
+        let mut results: Vec<(usize, Result<Artifact>)> = self
+            .schedule()?
+            .concat()
+            .into_iter()
+            .map(|i| {
+                let exp = self.experiments[i].as_ref();
+                // Unwind-safe enough: `ctx` memoizes through `OnceLock`s,
+                // which stay empty when their initializer unwinds, and
+                // through counters a panic cannot leave torn.
+                let result = catch_unwind(AssertUnwindSafe(|| exp.run(ctx))).unwrap_or_else(|_| {
                     Err(Error::ExperimentPanicked {
-                        id: e.id().to_string(),
+                        id: exp.id().to_string(),
                     })
                 });
-                (e.id(), r)
+                (i, result)
             })
+            .collect();
+        results.sort_by_key(|&(i, _)| i);
+        Ok(results
+            .into_iter()
+            .map(|(i, result)| (self.experiments[i].id(), result))
             .collect())
     }
 }
@@ -314,6 +299,58 @@ mod tests {
                 .filter_map(Value::as_str)
                 .collect();
             assert_eq!(deps, e.deps());
+        }
+    }
+
+    /// A fake experiment that succeeds, or panics when told to.
+    struct Fake {
+        id: &'static str,
+        deps: &'static [&'static str],
+        panics: bool,
+    }
+
+    impl Experiment for Fake {
+        fn id(&self) -> &'static str {
+            self.id
+        }
+        fn description(&self) -> &'static str {
+            "succeeds, or panics when told to"
+        }
+        fn deps(&self) -> &'static [&'static str] {
+            self.deps
+        }
+        fn run(&self, _ctx: &Ctx) -> Result<Artifact> {
+            assert!(!self.panics, "{} ordered to panic", self.id);
+            Ok(Artifact::new(
+                Value::from(self.id),
+                format!("{}\n", self.id),
+            ))
+        }
+    }
+
+    #[test]
+    fn run_all_contains_a_panic_in_its_own_slot() {
+        let fake =
+            |id, deps, panics| -> Box<dyn Experiment> { Box::new(Fake { id, deps, panics }) };
+        // Schedule order is `boom`, `before`, `after`: both fakes that
+        // succeed run after the panic, one of them a wave later.
+        let registry = Registry::from_experiments(vec![
+            fake("after", &["before"], false),
+            fake("boom", &[], true),
+            fake("before", &[], false),
+        ]);
+        let ctx = Ctx::with_space(accelwall_accelsim::SweepSpace::coarse());
+        let results = registry.run_all(&ctx).expect("the fakes schedule");
+        let ids: Vec<&str> = results.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, ["after", "boom", "before"], "registry order");
+        for (id, result) in &results {
+            match (*id, result) {
+                ("boom", Err(Error::ExperimentPanicked { id })) => assert_eq!(id, "boom"),
+                ("after" | "before", Ok(artifact)) => {
+                    assert_eq!(artifact.text, format!("{id}\n"));
+                }
+                (id, other) => panic!("{id}: {other:?}"),
+            }
         }
     }
 

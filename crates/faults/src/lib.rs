@@ -1,11 +1,11 @@
 //! `accelwall-faults` — deterministic fault injection for the stack.
 //!
-//! The ROADMAP's north star is a server that survives heavy traffic, and
-//! the paper's method is to *characterize a limit before you hit it*.
+//! The paper's method is to *characterize a limit before you hit it*.
 //! This crate applies the same discipline to failures: instead of
 //! waiting for a panicking experiment or a transient compute error to
 //! show up in production, a [`FaultPlan`] provokes every failure mode on
-//! demand so tests can prove the stack contains it.
+//! demand so tests can prove the stack contains it, and keep proving it
+//! as the code changes.
 //!
 //! A plan is parsed from a spec string — usually the `ACCELWALL_FAULTS`
 //! environment variable ([`ENV_VAR`]) — of comma-separated entries:

@@ -96,7 +96,7 @@ impl QueryEngine {
     ///
     /// [`QueryError::Engine`] when the pipeline fails. Failed computes
     /// insert nothing, so a transient fault never poisons the cache.
-    pub fn answer(&self, spec: &QuerySpec) -> Result<Arc<Vec<u8>>, QueryError> {
+    pub fn answer(&self, spec: &QuerySpec) -> Result<Arc<[u8]>, QueryError> {
         self.lookup(spec).or_else(|miss| self.compute(spec, miss))
     }
 
@@ -107,7 +107,7 @@ impl QueryEngine {
     /// # Errors
     ///
     /// The [`Miss`] when the LRU holds no body for this spec.
-    pub fn lookup(&self, spec: &QuerySpec) -> Result<Arc<Vec<u8>>, Miss> {
+    pub fn lookup(&self, spec: &QuerySpec) -> Result<Arc<[u8]>, Miss> {
         let key = cache_key(spec);
         self.lru.get(key, spec).ok_or(Miss { key })
     }
@@ -120,13 +120,15 @@ impl QueryEngine {
     ///
     /// [`QueryError::Engine`] when the pipeline fails; nothing is cached
     /// then.
-    pub fn compute(&self, spec: &QuerySpec, miss: Miss) -> Result<Arc<Vec<u8>>, QueryError> {
+    pub fn compute(&self, spec: &QuerySpec, miss: Miss) -> Result<Arc<[u8]>, QueryError> {
         self.computes.fetch_add(1, Ordering::Relaxed);
         if let Err(fault) = accelwall_faults::probe(accelwall_faults::sites::QUERY_COMPUTE) {
             return Err(QueryError::Engine(fault.into()));
         }
-        let json = self.execute(spec)?;
-        let body = Arc::new(format!("{}\n", json.pretty()).into_bytes());
+        let pretty = self.execute(spec)?.pretty();
+        // One allocation of exactly the body's length: the text and its
+        // trailing newline are copied straight into the shared slice.
+        let body: Arc<[u8]> = pretty.bytes().chain([b'\n']).collect();
         self.lru.insert(miss.key, spec, Arc::clone(&body));
         Ok(body)
     }
@@ -476,7 +478,7 @@ mod tests {
         let body = engine.answer(&q).unwrap();
         let artifact = engine.artifacts.get("fig13").unwrap();
         let expected = format!("{}\n", artifact.json.pretty());
-        assert_eq!(body.as_slice(), expected.as_bytes());
+        assert_eq!(*body, *expected.as_bytes());
     }
 
     #[test]
@@ -501,7 +503,7 @@ mod tests {
             ],
         ] {
             let body = engine.answer(&spec(&kv)).unwrap();
-            let text = String::from_utf8(body.as_ref().clone()).unwrap();
+            let text = std::str::from_utf8(&body).unwrap();
             let doc = Value::parse(text.trim_end()).unwrap();
             assert!(doc.is_object() || doc.is_array(), "{kv:?}");
         }

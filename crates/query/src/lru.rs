@@ -2,8 +2,8 @@
 //!
 //! Query responses are small JSON documents that are expensive to
 //! recompute relative to a hash lookup, so the cache stores the exact
-//! wire bytes ([`std::sync::Arc`]`<Vec<u8>>`) keyed by the canonical
-//! `u64` of the spec. The key only *finds* an entry: FNV-1a is not
+//! wire bytes ([`std::sync::Arc`]`<[u8]>`: one allocation the size of
+//! the body) keyed by the canonical `u64` of the spec. The key only *finds* an entry: FNV-1a is not
 //! collision-resistant, so each entry keeps its [`QuerySpec`] and a hit
 //! must match it exactly — two specs whose keys collide never get each
 //! other's answer, they take turns in one slot. The byte budget is
@@ -26,7 +26,7 @@ const SHARDS: usize = 8;
 struct Entry {
     key: u64,
     spec: QuerySpec,
-    body: Arc<Vec<u8>>,
+    body: Arc<[u8]>,
     last_used: u64,
 }
 
@@ -94,7 +94,7 @@ impl QueryCache {
 
     /// Looks up `spec`'s body under its `key`, refreshing its recency on
     /// a hit. An entry under `key` for a different spec is a miss.
-    pub fn get(&self, key: u64, spec: &QuerySpec) -> Option<Arc<Vec<u8>>> {
+    pub fn get(&self, key: u64, spec: &QuerySpec) -> Option<Arc<[u8]>> {
         let mut shard = self
             .shard(key)
             .lock()
@@ -122,7 +122,7 @@ impl QueryCache {
     /// entries until it fits. A body larger than a whole shard's budget
     /// is refused (the response is still served, just never cached).
     /// Returns whether the body was admitted.
-    pub fn insert(&self, key: u64, spec: &QuerySpec, body: Arc<Vec<u8>>) -> bool {
+    pub fn insert(&self, key: u64, spec: &QuerySpec, body: Arc<[u8]>) -> bool {
         let cost = body.len();
         if cost > self.shard_cap {
             self.oversize.fetch_add(1, Ordering::Relaxed);
@@ -199,8 +199,8 @@ mod tests {
     use super::*;
     use crate::spec::QueryKind;
 
-    fn body(len: usize, fill: u8) -> Arc<Vec<u8>> {
-        Arc::new(vec![fill; len])
+    fn body(len: usize, fill: u8) -> Arc<[u8]> {
+        Arc::from(vec![fill; len])
     }
 
     /// A distinct valid spec per `n`: a csr query reporting `n + 1`.

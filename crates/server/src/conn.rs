@@ -11,10 +11,12 @@
 //! **Serving.** The thread blocks in `read`, parses every complete
 //! pipelined request off its buffer (at most [`BATCH`] per pass), and
 //! answers them in order on this thread: response-cache hits from their
-//! shared bytes, `/query` hits from the query engine's LRU — the spec
+//! shared bodies, `/query` hits from the query engine's LRU — the spec
 //! parsed once, before the gate, so every spelling hits — and everything
-//! else computed under the compute gate. The batch goes out in one
-//! gathered write before the thread blocks again.
+//! else computed under the compute gate. Every response, cached or
+//! computed, gets its head rendered here for the request's persistence
+//! mode ([`Response::head_bytes`]). The batch goes out in one gathered
+//! write before the thread blocks again.
 //!
 //! **Draining.** The first crew thread that sees the shutdown flag
 //! wakes every parked crew thread, shuts the read half of every
@@ -31,7 +33,6 @@ use std::time::{Duration, Instant};
 
 use crate::http::{parse_bytes, ParseOutcome, Request, RequestError, Response, MAX_BODY_BYTES};
 use crate::metrics::Route;
-use crate::respcache::CachedResponse;
 use crate::{ask, lock, query_response, route_request, Shared};
 
 /// Pipelined requests answered per pass before the batch is written.
@@ -293,41 +294,30 @@ enum Pass {
     Close,
 }
 
-/// One response staged for the batch write.
+/// One response staged for the batch write: its head rendered for this
+/// request, and its body, shared with any cache that holds it.
 struct Staged {
-    reply: Reply,
+    head: Vec<u8>,
+    body: Arc<[u8]>,
     route: Route,
     status: u16,
     /// When the request was parsed; latency is observed after the write.
     started: Instant,
 }
 
-/// The bytes of one response: its head and body rendered for this
-/// request, or a shared response-cache entry and whether to send its
-/// keep-alive head (no copy on the warm path).
-enum Reply {
-    Owned(Vec<u8>, Arc<Vec<u8>>),
-    Cached(Arc<CachedResponse>, bool),
-}
-
 impl Staged {
-    fn owned((route, response): (Route, Response), keep_alive: bool, started: Instant) -> Staged {
-        let head = response.head_bytes(keep_alive);
-        let (status, reply) = (response.status, Reply::Owned(head, response.body));
+    fn new((route, response): (Route, Response), keep_alive: bool, started: Instant) -> Staged {
         Staged {
-            reply,
+            head: response.head_bytes(keep_alive),
+            body: response.body,
             route,
-            status,
+            status: response.status,
             started,
         }
     }
 
     fn parts(&self) -> [&[u8]; 2] {
-        match &self.reply {
-            Reply::Owned(head, body) => [head, body],
-            Reply::Cached(entry, true) => [&entry.head_keep, &entry.body],
-            Reply::Cached(entry, false) => [&entry.head_close, &entry.body],
-        }
+        [&self.head, &self.body]
     }
 }
 
@@ -438,7 +428,7 @@ fn answer_pipeline(
             Err(error) => {
                 // A malformed pipeline has no trustworthy framing:
                 // answer the precise 4xx/5xx in order, then close.
-                batch.push(Staged::owned(error_response(&error), false, Instant::now()));
+                batch.push(Staged::new(error_response(&error), false, Instant::now()));
                 break Pass::Close;
             }
         }
@@ -448,7 +438,7 @@ fn answer_pipeline(
 }
 
 /// Answers one request on this thread: a response-cache hit from its
-/// shared bytes, a `/query` engine-LRU hit or refusal before the gate,
+/// shared body, a `/query` engine-LRU hit or refusal before the gate,
 /// anything else computed under the gate. `None` when the handler
 /// panicked; the connection is then dropped.
 fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
@@ -462,21 +452,14 @@ fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
     } else {
         cache_key(request)
     };
-    if let Some(entry) = key.as_deref().and_then(|key| shared.respcache.get(key)) {
-        let (route, status) = (entry.route, entry.status);
-        let reply = Reply::Cached(entry, request.keep_alive);
-        return Some(Staged {
-            reply,
-            route,
-            status,
-            started,
-        });
+    if let Some(hit) = key.as_deref().and_then(|key| shared.respcache.get(key)) {
+        return Some(Staged::new(hit, request.keep_alive, started));
     }
     let mut query = None;
     if request.path == "/query" {
         match ask(request, &shared.engine) {
             ControlFlow::Break(response) => {
-                let staged = Staged::owned((Route::Query, response), request.keep_alive, started);
+                let staged = Staged::new((Route::Query, response), request.keep_alive, started);
                 return Some(staged);
             }
             ControlFlow::Continue(miss) => query = Some(miss),
@@ -487,7 +470,7 @@ fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
         // the connection.
         metrics.record_rejected();
         let response = Response::text(503, "server saturated, retry later\n");
-        return Some(Staged::owned(
+        return Some(Staged::new(
             (Route::Other, response),
             request.keep_alive,
             started,
@@ -519,7 +502,7 @@ fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
     }
     computed
         .ok()
-        .map(|reply| Staged::owned(reply, request.keep_alive, started))
+        .map(|reply| Staged::new(reply, request.keep_alive, started))
 }
 
 /// The response-cache key for a request, when its shape is cacheable:

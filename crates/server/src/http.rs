@@ -252,20 +252,21 @@ pub struct Response {
     /// Extra `Retry-After` header (seconds) for 500/503/504 responses
     /// whose failure is expected to heal.
     pub retry_after: Option<u64>,
-    /// Response body bytes, shareable with the cache that holds them.
-    pub body: Arc<Vec<u8>>,
+    /// Response body bytes, in one allocation of exactly their length,
+    /// shareable with the caches that hold them.
+    pub body: Arc<[u8]>,
 }
 
 impl Response {
-    /// A JSON body (already serialized).
-    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Response {
-        Response::shared_json(status, Arc::new(body.into()))
+    /// A JSON body (already serialized), copied into a shared slice.
+    pub fn json(status: u16, body: impl AsRef<[u8]>) -> Response {
+        Response::shared_json(status, Arc::from(body.as_ref()))
     }
 
     /// A JSON body another cache already holds (a query engine answer):
     /// the response, and a response-cache entry made from it, share
     /// those bytes instead of copying them.
-    pub fn shared_json(status: u16, body: Arc<Vec<u8>>) -> Response {
+    pub fn shared_json(status: u16, body: Arc<[u8]>) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -275,14 +276,14 @@ impl Response {
         }
     }
 
-    /// A plain-text body.
-    pub fn text(status: u16, body: impl Into<Vec<u8>>) -> Response {
+    /// A plain-text body, copied into a shared slice.
+    pub fn text(status: u16, body: impl AsRef<[u8]>) -> Response {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
             allow: None,
             retry_after: None,
-            body: Arc::new(body.into()),
+            body: Arc::from(body.as_ref()),
         }
     }
 
@@ -293,7 +294,7 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             allow: Some(allow),
             retry_after: None,
-            body: Arc::new(format!("method not allowed; use {allow}\n").into_bytes()),
+            body: Arc::from(format!("method not allowed; use {allow}\n").as_bytes()),
         }
     }
 

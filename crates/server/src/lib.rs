@@ -411,7 +411,7 @@ fn experiment_response(
     match cache.get_within(id, Some(compute_deadline)) {
         Ok(artifact) => {
             if request.wants_plain_text() {
-                Response::text(200, artifact.text.clone())
+                Response::text(200, &artifact.text)
             } else {
                 let mut body = artifact.json.pretty();
                 body.push('\n');
@@ -668,13 +668,20 @@ mod tests {
         );
         assert_eq!((status, body.as_str()), (200, "draining\n"));
         join.join().expect("server thread").expect("clean exit");
-        assert!(
-            TcpStream::connect(addr).is_err() || {
-                // A connect may still succeed in the OS backlog race; a
-                // subsequent read must then see an immediate close.
-                true
+        // The listener is closed: a late connect is refused, or, should
+        // it land in a backlog the closing listener has not yet torn
+        // down, its first read ends in EOF or a reset, never in a reply
+        // or a wait.
+        if let Ok(mut late) = TcpStream::connect(addr) {
+            late.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            let mut byte = [0u8; 1];
+            match late.read(&mut byte) {
+                Ok(0) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("the listener outlived the drain: {other:?}"),
             }
-        );
+        }
     }
 
     fn query_spec(query: &str) -> QuerySpec {
@@ -1147,7 +1154,7 @@ mod tests {
         let lru = shared
             .engine
             .lookup(&query_spec("workload=fft&node=7nm&lanes=4"));
-        assert!(matches!((wire, lru), (Some(w), Ok(l)) if Arc::ptr_eq(&w.body, &l)));
+        assert!(matches!((wire, lru), (Some((_, w)), Ok(l)) if Arc::ptr_eq(&w.body, &l)));
 
         // The test holds the only compute slot, so the next request
         // waits in the backlog...

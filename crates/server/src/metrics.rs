@@ -408,8 +408,6 @@ impl Metrics {
             ("model_requests", ctx.model_requests),
             ("sweep_computes", ctx.sweep_computes),
             ("sweep_requests", ctx.sweep_requests),
-            ("dfg_computes", ctx.dfg_computes),
-            ("dfg_requests", ctx.dfg_requests),
             ("program_requests", ctx.program_requests),
         ] {
             let _ = writeln!(out, "accelwall_ctx_{name} {value}");
@@ -477,8 +475,6 @@ mod tests {
             model_requests: 2,
             sweep_computes: 0,
             sweep_requests: 0,
-            dfg_computes: 0,
-            dfg_requests: 0,
             lowerings: 3,
             program_requests: 7,
             program_nodes: 1200,
@@ -536,7 +532,6 @@ mod tests {
         assert!(text.contains("accelwall_artifact_cache_compute_timeouts_total 6"));
         assert!(text.contains("accelwall_ctx_corpus_computes 1"));
         assert!(text.contains("accelwall_ctx_sweep_requests 0"));
-        assert!(text.contains("accelwall_ctx_dfg_computes 0"));
         assert!(text.contains("accelwall_ctx_program_requests 7"));
         assert!(text.contains("accelwall_dfg_lowerings_total 3"));
         assert!(text.contains("accelwall_dfg_program_nodes 1200"));

@@ -1,11 +1,15 @@
 //! The pre-serialized response cache: warm requests skip rendering.
 //!
 //! The artifact cache memoizes *computed results*; this cache memoizes
-//! the *wire bytes* built from them — header block (both persistence
-//! modes, `Content-Length` precomputed) plus body — keyed by the request
-//! shape (`path`, query string, `Accept` variant). A warm request on
-//! its connection thread is then parse → key → one lookup → `writev`,
-//! never re-rendering JSON and never taking a compute slot.
+//! the *responses* built from them — status, content type and the
+//! body's wire bytes — keyed by the request shape (`path`, query string,
+//! `Accept` variant). A warm request on its connection thread is then
+//! parse → key → one lookup → head → `writev`, never re-rendering JSON
+//! and never taking a compute slot. The head is rendered per hit for
+//! the request's persistence mode, by the same
+//! [`Response::head_bytes`] every computed response goes through, so an
+//! entry holds no copy of it and a hit's head cannot drift from a
+//! compute's.
 //!
 //! Only safe entries are admitted, by the request handler in `conn.rs`:
 //! `GET` requests answering `200` on the immutable-content routes
@@ -17,42 +21,27 @@
 //! are recomputed so retry semantics stay live. A `/query` entry shares
 //! its body with the query engine's LRU — one allocation, referenced
 //! from both — so the answer's bytes are held once; the entry adds only
-//! its key and its two heads.
+//! its key.
 //!
 //! Eviction is LRU under a hard byte cap, mirroring the query engine's
 //! LRU discipline: a logical tick orders entries, eviction removes the
 //! least-recently-used until the newcomer fits, and an entry larger
-//! than the whole cap is refused outright. An entry's cost counts its
-//! body even when the body is shared, so the cap also bounds the bytes
-//! this cache keeps alive after the query LRU lets them go. Lookups
-//! scan a flat `Vec` guarded by one mutex — entry counts are small
-//! (bounded by the registry + query working set under the byte cap) and
-//! the scan compares a precomputed 64-bit key hash before ever touching
-//! the key string, so the warm path stays cheap and deterministic (no
-//! hash-order iteration anywhere).
+//! than the whole cap is refused outright. An entry's cost is its key
+//! plus its body, counted even when the body is shared, so the cap also
+//! bounds the bytes this cache keeps alive after the query LRU lets
+//! them go. Lookups scan a flat `Vec` guarded by one mutex — entry
+//! counts are small (bounded by the registry + query working set under
+//! the byte cap) and the scan compares a precomputed 64-bit key hash,
+//! in 32-byte entries whose key and response sit behind a pointer,
+//! before ever touching the key string, so the warm path stays cheap and
+//! deterministic (no hash-order iteration anywhere).
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use accelwall_query::canon::fnv1a;
 
 use crate::http::Response;
 use crate::metrics::Route;
-
-/// One cached response: precomputed wire bytes for both persistence
-/// modes plus the metadata a connection thread needs to record metrics.
-#[derive(Debug)]
-pub struct CachedResponse {
-    /// HTTP status (always 200 under the current admission rules).
-    pub status: u16,
-    /// The route label the original compute was observed under.
-    pub route: Route,
-    /// Header block ending in `\r\n\r\n`, `Connection: keep-alive`.
-    pub head_keep: Vec<u8>,
-    /// Header block ending in `\r\n\r\n`, `Connection: close`.
-    pub head_close: Vec<u8>,
-    /// Response body bytes, shared with the response they came from.
-    pub body: Arc<Vec<u8>>,
-}
 
 /// A point-in-time snapshot of the cache counters for `/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,19 +56,29 @@ pub struct RespCacheStats {
     pub evictions: u64,
     /// Live entries.
     pub entries: u64,
-    /// Bytes currently held (heads + bodies + keys).
+    /// Bytes currently held (bodies + keys).
     pub bytes: u64,
     /// The configured byte cap.
     pub capacity_bytes: u64,
 }
 
 struct Entry {
-    /// FNV-1a of `key`, compared before the key string on lookup.
+    /// FNV-1a of the key, compared before the key string on lookup.
     hash: u64,
-    key: Box<str>,
-    response: Arc<CachedResponse>,
-    cost: usize,
     last_used: u64,
+    /// Key plus body bytes, what the entry counts against the cap.
+    cost: usize,
+    /// Behind a pointer, so a lookup's scan walks 32-byte entries.
+    cached: Box<Cached>,
+}
+
+/// What an entry holds past its scan fields.
+struct Cached {
+    key: Box<str>,
+    /// The route label the original compute was observed under.
+    route: Route,
+    /// Status, content type and the shared body.
+    response: Response,
 }
 
 #[derive(Default)]
@@ -123,8 +122,10 @@ impl ResponseCache {
         }
     }
 
-    /// Looks `key` up, refreshing its LRU position on a hit.
-    pub fn get(&self, key: &str) -> Option<Arc<CachedResponse>> {
+    /// Looks `key` up, refreshing its LRU position on a hit: the route
+    /// the original compute was observed under, and the response, whose
+    /// body the copy shares.
+    pub fn get(&self, key: &str) -> Option<(Route, Response)> {
         let hash = fnv1a(key.as_bytes());
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
@@ -132,13 +133,13 @@ impl ResponseCache {
         match inner
             .entries
             .iter_mut()
-            .find(|e| e.hash == hash && *e.key == *key)
+            .find(|e| e.hash == hash && *e.cached.key == *key)
         {
             Some(entry) => {
                 entry.last_used = tick;
-                let response = Arc::clone(&entry.response);
+                let hit = (entry.cached.route, entry.cached.response.clone());
                 inner.hits += 1;
-                Some(response)
+                Some(hit)
             }
             None => {
                 inner.misses += 1;
@@ -147,19 +148,12 @@ impl ResponseCache {
         }
     }
 
-    /// Admits one response under `key`, pre-rendering both header-block
-    /// variants. A duplicate key (two connection threads racing the
-    /// same compute) keeps the incumbent; an entry larger than the whole cap
-    /// is refused; otherwise LRU entries are evicted until it fits.
+    /// Admits one response under `key`, sharing its body. A duplicate
+    /// key (two connection threads racing the same compute) keeps the
+    /// incumbent; an entry larger than the whole cap is refused;
+    /// otherwise LRU entries are evicted until it fits.
     pub fn insert(&self, key: &str, route: Route, response: &Response) {
-        let cached = CachedResponse {
-            status: response.status,
-            route,
-            head_keep: response.head_bytes(true),
-            head_close: response.head_bytes(false),
-            body: Arc::clone(&response.body),
-        };
-        let cost = key.len() + cached.head_keep.len() + cached.head_close.len() + cached.body.len();
+        let cost = key.len() + response.body.len();
         if cost > self.capacity {
             return;
         }
@@ -168,7 +162,7 @@ impl ResponseCache {
         if inner
             .entries
             .iter()
-            .any(|e| e.hash == hash && *e.key == *key)
+            .any(|e| e.hash == hash && *e.cached.key == *key)
         {
             return;
         }
@@ -192,10 +186,13 @@ impl ResponseCache {
         inner.insertions += 1;
         inner.entries.push(Entry {
             hash,
-            key: key.into(),
-            response: Arc::new(cached),
-            cost,
             last_used,
+            cost,
+            cached: Box::new(Cached {
+                key: key.into(),
+                route,
+                response: response.clone(),
+            }),
         });
     }
 
@@ -217,33 +214,33 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn entry(key: &str, body: &str) -> (String, Response) {
-        (key.to_string(), Response::json(200, body.to_string()))
+        (key.to_string(), Response::json(200, body))
     }
 
     #[test]
-    fn hits_return_prerendered_bytes_for_both_modes() {
+    fn hits_share_the_response_and_render_its_head_per_mode() {
         let cache = ResponseCache::new(4096);
         let (key, response) = entry("exp:fig3a:j", "{\"x\": 1}\n");
         assert!(cache.get(&key).is_none());
         cache.insert(&key, Route::Experiment, &response);
-        let hit = cache.get(&key).expect("inserted entry");
-        assert_eq!(hit.status, 200);
-        assert_eq!(hit.body, response.body);
-        let keep = String::from_utf8(hit.head_keep.clone()).unwrap();
-        assert!(keep.contains("Connection: keep-alive\r\n"));
-        assert!(keep.contains(&format!("Content-Length: {}\r\n", response.body.len())));
-        let close = String::from_utf8(hit.head_close.clone()).unwrap();
-        assert!(close.contains("Connection: close\r\n"));
+        let (route, hit) = cache.get(&key).expect("inserted entry");
+        assert_eq!((route, hit.status), (Route::Experiment, 200));
+        assert!(Arc::ptr_eq(&hit.body, &response.body), "body was copied");
+        for keep_alive in [true, false] {
+            assert_eq!(hit.head_bytes(keep_alive), response.head_bytes(keep_alive));
+        }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
+        assert_eq!(stats.bytes as usize, key.len() + response.body.len());
     }
 
     #[test]
     fn lru_evicts_under_the_byte_cap_and_refuses_oversize() {
-        // Measure one entry's true cost (key + both heads + body), then
-        // cap the cache at four-and-a-half entries.
+        // Measure one entry's true cost (key + body), then cap the cache
+        // at four-and-a-half entries.
         let probe = ResponseCache::new(1 << 20);
         let (key, response) = entry("exp:fig0:j", &"x".repeat(64));
         probe.insert(&key, Route::Experiment, &response);
@@ -277,6 +274,6 @@ mod tests {
         let (_, second) = entry("roster", "[2]\n");
         cache.insert(&key, Route::Experiments, &second);
         assert_eq!(cache.stats().insertions, 1);
-        assert_eq!(cache.get(&key).expect("entry").body, first.body);
+        assert_eq!(cache.get(&key).expect("entry").1.body, first.body);
     }
 }

@@ -529,8 +529,9 @@ fn serve(registry: Registry, args: &Args) -> ExitCode {
 }
 
 /// Runs the whole registry against one shared memoizing [`Ctx`]:
-/// independent experiments execute concurrently, and every shared input
-/// (corpus, potential model, per-workload sweeps) is computed once.
+/// experiments execute one at a time in schedule order, and every shared
+/// input (corpus, potential model, per-workload programs and sweeps) is
+/// computed once.
 fn run_all(registry: &Registry, json: bool) -> ExitCode {
     let results = match registry.run_all(&Ctx::new()) {
         Ok(results) => results,
