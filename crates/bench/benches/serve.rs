@@ -248,7 +248,7 @@ fn main() {
     let probe_start = Instant::now();
     for _ in 0..PROBE_SAMPLES {
         std::hint::black_box(accelwall_faults::probe(std::hint::black_box(
-            accelwall_faults::sites::SERVE_REQUEST,
+            accelwall_faults::Site::ServeRequest,
         )))
         .expect("no plan armed");
     }

@@ -49,6 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
+use accelwall_faults::Site;
 use accelwall_stats::rng::{decorrelated_backoff, Rng};
 
 use crate::cache::Ctx;
@@ -561,7 +562,7 @@ fn attempt(inner: &Arc<Inner>, index: usize) -> Result<Artifact> {
             })?;
     // Each experiment id is a dynamic fault-injection site: an armed
     // plan like `fig3b:err:2` fires here, before the real compute.
-    accelwall_faults::probe(experiment.id())?;
+    accelwall_faults::probe(Site::Experiment(experiment.id()))?;
     experiment.run(&inner.ctx)
 }
 

@@ -3,20 +3,24 @@
 //!
 //! Each submodule holds the [`crate::experiment::Experiment`] impls for
 //! one layer of the stack; [`crate::registry::Registry::paper`] owns the
-//! roster and presentation order. The helpers here cover the two things
-//! every experiment does: render CSR series and append formatted lines
-//! to the text artifact.
+//! roster and presentation order. The submodules are crate-private, so
+//! an experiment type that `Registry::paper()` never constructs is
+//! rustc's `dead_code`, which the clippy gate in `tests/lint.rs` denies.
+//! The helpers here cover the two things every experiment does: render
+//! CSR series and append formatted lines to the text artifact.
 
-pub mod accelsim;
-pub mod chipdb;
-pub mod cmos;
-pub mod csr;
-pub mod dfg;
-pub mod potential;
-pub mod projection;
-pub mod report;
-pub mod studies;
-pub mod workloads;
+pub(crate) mod accelsim;
+pub(crate) mod chipdb;
+pub(crate) mod cmos;
+pub(crate) mod csr;
+pub(crate) mod dfg;
+pub(crate) mod potential;
+pub(crate) mod projection;
+pub(crate) mod report;
+pub(crate) mod studies;
+pub(crate) mod workloads;
+
+pub use dfg::dot_artifact;
 
 use crate::json::Value;
 use accelwall_csr::CsrSeries;

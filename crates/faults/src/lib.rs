@@ -23,11 +23,13 @@
 //! | `panic:N` | first `N` hits | panics (containment must catch it) |
 //! | `hang:DUR` | first hit | sleeps `DUR` (`500ms`, `2s`, `0.5s`), then passes |
 //!
-//! Sites are either the static probe points in [`sites::ROSTER`] or
-//! dynamic per-experiment sites (the artifact cache probes with the
-//! experiment id); [`FaultPlan::validate_sites`] checks a plan against
-//! the union at arm time so typos fail loudly with the full roster,
-//! exactly like an unknown CLI target.
+//! A probe names its [`Site`]: one of the static probe points (the unit
+//! variants, listed in [`Site::STATIC`]) or a dynamic per-experiment
+//! site (the artifact cache probes [`Site::Experiment`] with the
+//! experiment id). A plan names sites as strings;
+//! [`FaultPlan::validate_sites`] checks it against the union at arm time
+//! so typos fail loudly with the full roster, exactly like an unknown
+//! CLI target.
 //!
 //! Probes are free when nothing is armed: [`probe`] is a single relaxed
 //! atomic load on the disarmed path, so shipping code keeps its probes
@@ -41,6 +43,8 @@
 #![forbid(unsafe_code)]
 
 pub mod sites;
+
+pub use sites::Site;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -510,12 +514,12 @@ pub fn is_armed() -> bool {
 /// # Errors
 ///
 /// [`InjectedFault`] when an armed `err` rule fires at `site`.
-pub fn probe(site: &str) -> Result<(), InjectedFault> {
+pub fn probe(site: Site) -> Result<(), InjectedFault> {
     if !ACTIVE.load(Ordering::Relaxed) {
         return Ok(());
     }
     match ARMED.get() {
-        Some(plan) => plan.probe(site),
+        Some(plan) => plan.probe(site.name()),
         None => Ok(()),
     }
 }
@@ -639,7 +643,7 @@ mod tests {
         match plan.validate_sites(&["fig3b"]) {
             Err(SpecError::UnknownSite { site, known }) => {
                 assert_eq!(site, "fig99");
-                assert!(known.contains(&sites::SERVE_REQUEST.to_string()));
+                assert!(known.contains(&Site::ServeRequest.name().to_string()));
                 assert!(known.contains(&"fig3b".to_string()));
             }
             other => panic!("expected UnknownSite, got {other:?}"),
@@ -705,7 +709,7 @@ mod tests {
         // This test must not arm the global plan: sibling tests in this
         // process rely on the disarmed fast path staying silent.
         assert!(!is_armed() || ARMED.get().is_some());
-        assert!(probe("never-armed-site").is_ok());
+        assert!(probe(Site::Experiment("never-armed-site")).is_ok());
         assert!(report().iter().all(|r| r.site != "never-armed-site"));
     }
 }

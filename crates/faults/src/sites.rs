@@ -1,78 +1,73 @@
-//! The static injection-site roster.
+//! The injection sites.
 //!
-//! A fault plan names the *site* where each fault fires. Two families of
-//! site names exist:
+//! A fault plan names the *site* where each fault fires, and every
+//! probe passes a [`Site`]. Two families of site exist:
 //!
-//! * **Static sites** — fixed probe points compiled into the stack,
-//!   listed in [`ROSTER`] below. The `fault-sites` rule of
-//!   `accelwall lint` cross-checks this roster against the actual
-//!   `probe("...")` call sites in the workspace (both directions), the
-//!   same way `registry-sync` keeps `Registry::paper()` honest.
+//! * **Static sites** — fixed probe points compiled into the stack, the
+//!   unit variants of [`Site`], listed in [`Site::STATIC`]. A probe can
+//!   only name a variant that exists, so a misspelt static site does
+//!   not compile; `tests/faults.rs` arms each listed site and drives the
+//!   server until it fires, so a listed site that nothing probes fails
+//!   the suite.
 //! * **Dynamic sites** — one per experiment target: the artifact cache
-//!   probes with the experiment's own id (`fig3b`, `table5`, ...) before
-//!   every compute attempt, so a plan like `fig3b:err:2` targets exactly
-//!   one artifact. Dynamic names are validated at arm time against the
-//!   live registry roster, not by the lint.
+//!   probes [`Site::Experiment`] with the experiment's own id (`fig3b`,
+//!   `table5`, ...) before every compute attempt, so a plan like
+//!   `fig3b:err:2` targets exactly one artifact. Dynamic names are
+//!   validated at arm time against the live registry roster.
 
-/// One fixed probe point in the stack.
+/// One probe point in the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Site {
-    /// The name a fault-plan entry uses to target this probe.
-    pub name: &'static str,
-    /// Where the probe lives, for humans chasing a firing site.
-    pub location: &'static str,
-    /// What a fault fired here simulates.
-    pub effect: &'static str,
+pub enum Site {
+    /// `serve-request`, in `crates/server/src/conn.rs::answer`: a
+    /// request handler failing on its connection thread. Probed once
+    /// per computed request (every request that is not a response-cache
+    /// hit), at the top of the handler: a `panic` unwinds out of the
+    /// handler (the connection thread catches it, counts it, and drops
+    /// the client's connection), an `err` answers the request with a
+    /// 500, and a `hang` holds the connection thread and its compute
+    /// slot for the configured duration.
+    ServeRequest,
+    /// `serve-conn`, in `crates/server/src/conn.rs::admit`:
+    /// connection-level chaos at accept. Probed once per accepted
+    /// connection, at admission: an `err` sheds the connection with an
+    /// immediate `503` + close (the same shape as the
+    /// concurrent-connection cap firing), and a `panic` is contained
+    /// there — the connection is dropped, the accepting thread survives
+    /// and keeps accepting.
+    ServeConn,
+    /// `query-compute`, in `crates/query/src/engine.rs::QueryEngine::compute`:
+    /// a transient failure while computing a query miss. An `err` fails
+    /// the compute as a retryable fault; nothing is inserted on
+    /// failure, so the LRU is never poisoned.
+    QueryCompute,
+    /// The dynamic site of one experiment, named by its registry id.
+    Experiment(&'static str),
 }
 
-/// `accelwall serve` probes this once per computed request (every
-/// request that is not a response-cache hit), at the top of the request
-/// handler: a `panic` here unwinds out of the handler (the connection
-/// thread catches it, counts it, and drops the client's connection), an
-/// `err` answers the request with a 500, and a `hang` holds the
-/// connection thread and its compute slot for the configured duration.
-pub const SERVE_REQUEST: &str = "serve-request";
+impl Site {
+    /// Every static site, in probe order. A new unit variant belongs
+    /// here, or no plan can arm it.
+    pub const STATIC: [Site; 3] = [Site::ServeRequest, Site::ServeConn, Site::QueryCompute];
 
-/// The accepting thread probes this once per accepted connection, at
-/// admission: an `err` here sheds the connection with an immediate
-/// `503` + close (the same shape as the concurrent-connection cap
-/// firing), and a `panic` is contained there — the connection is
-/// dropped, the thread survives and keeps accepting.
-pub const SERVE_CONN: &str = "serve-conn";
+    /// The name a fault-plan entry uses to target this site.
+    pub fn name(self) -> &'static str {
+        match self {
+            Site::ServeRequest => "serve-request",
+            Site::ServeConn => "serve-conn",
+            Site::QueryCompute => "query-compute",
+            Site::Experiment(id) => id,
+        }
+    }
+}
 
-/// The query engine probes this before executing a cache miss: an
-/// `err` here fails the compute as a retryable fault.
-/// Nothing is inserted on failure, so the LRU is never poisoned.
-pub const QUERY_COMPUTE: &str = "query-compute";
-
-/// Every static site, in probe order. Dynamic (per-experiment) sites are
-/// documented above and validated against the registry at arm time.
-pub const ROSTER: &[Site] = &[
-    Site {
-        name: SERVE_REQUEST,
-        location: "crates/server/src/conn.rs::answer",
-        effect: "a request handler failing on its connection thread",
-    },
-    Site {
-        name: SERVE_CONN,
-        location: "crates/server/src/conn.rs::admit",
-        effect: "connection-level chaos at accept (shed or dropped, the accepting thread survives)",
-    },
-    Site {
-        name: QUERY_COMPUTE,
-        location: "crates/query/src/engine.rs::QueryEngine::compute",
-        effect: "a transient failure while computing a query miss",
-    },
-];
-
-/// Whether `name` is one of the static sites in [`ROSTER`].
+/// Whether `name` is one of the static sites in [`Site::STATIC`].
 pub fn is_static(name: &str) -> bool {
-    ROSTER.iter().any(|s| s.name == name)
+    names().any(|s| s == name)
 }
 
 /// The static site names, in roster order.
 pub fn names() -> impl Iterator<Item = &'static str> {
-    ROSTER.iter().map(|s| s.name)
+    Site::STATIC.into_iter().map(Site::name)
 }
 
 #[cfg(test)]
@@ -80,24 +75,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roster_names_are_unique_kebab_and_described() {
+    fn static_names_are_unique_and_kebab() {
         let all: Vec<&str> = names().collect();
         let mut unique = all.clone();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), all.len(), "duplicate site names");
-        for site in ROSTER {
+        for name in all {
             assert!(
-                site.name
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c == '-'),
-                "{} is not kebab-case",
-                site.name
+                name.chars().all(|c| c.is_ascii_lowercase() || c == '-'),
+                "{name} is not kebab-case"
             );
-            assert!(!site.location.is_empty());
-            assert!(!site.effect.is_empty());
         }
-        assert!(is_static(SERVE_REQUEST));
+        assert!(is_static(Site::ServeRequest.name()));
         assert!(!is_static("fig3b"));
+        assert_eq!(Site::Experiment("fig3b").name(), "fig3b");
     }
 }

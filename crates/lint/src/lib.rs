@@ -2,11 +2,11 @@
 //! workspace's own invariants.
 //!
 //! The reproduction's credibility rests on properties the paper's models
-//! silently assume — compute-once artifact resolution, an acyclic
-//! experiment dependency graph, NaN-free log-log regressions — that
-//! earlier PRs established only by convention. This crate turns those
-//! conventions into a machine-checked gate, mirroring the design of the
-//! experiment pipeline it polices:
+//! silently assume — NaN-free log-log regressions, byte-identical
+//! output, deliberate atomic orderings, a cycle-free lock order — that
+//! earlier PRs established only by convention. This crate turns the ones
+//! no compiler check or plain test can see into a machine-checked gate,
+//! mirroring the design of the experiment pipeline it polices:
 //!
 //! * [`lexer`] — a hand-rolled, line/column-tracking Rust tokenizer that
 //!   understands strings, raw strings, comments, and (via [`source`])
@@ -18,19 +18,20 @@
 //!   token;
 //! * [`symbols`] — a per-crate symbol index (struct-field and
 //!   const/static types) distilled from the trees;
-//! * [`workspace`] — loads every `.rs` file, `EXPERIMENTS.md`, and
-//!   `DESIGN.md` under the workspace root;
-//! * [`Lint`] + [`LintRegistry`] — a pluggable rule trait and the
-//!   standard roster, exactly like `Experiment` + `Registry::paper()`;
-//! * [`rules`] — the seven shipped rules (see
-//!   [`LintRegistry::standard`]), from token-level checks to the
-//!   parser-backed `atomic-ordering`, `lock-order`, and `determinism`
-//!   concurrency rules.
+//! * [`workspace`] — loads every `.rs` file under the workspace root;
+//! * [`Lint`] + [`LintRegistry`] — a rule trait and the standard roster,
+//!   exactly like `Experiment` + `Registry::paper()`;
+//! * [`rules`] — the four shipped rules (see [`LintRegistry::standard`]):
+//!   token-level `float-hygiene` and the parser-backed `atomic-ordering`,
+//!   `lock-order`, and `determinism` concurrency rules.
 //!
 //! Generic policy — no panic paths or `process::exit` in shipping code,
-//! no unbounded `mpsc::channel`, no registry dependencies — is left to
-//! clippy, rustc and `Cargo.lock`; the clippy gate in `tests/lint.rs`
-//! enforces it.
+//! no unbounded `mpsc::channel`, no registry dependencies, no experiment
+//! type left out of the registry (`dead_code`) — is left to clippy,
+//! rustc and `Cargo.lock`; the clippy gate in `tests/lint.rs` enforces
+//! it. Checks over values the binary holds at run time are plain tests:
+//! `tests/docs.rs` holds the docs to the registry and the route labels,
+//! and `tests/faults.rs` fires every static fault site.
 //!
 //! Findings can be silenced, one site at a time, with a justified
 //! escape hatch: `// lint:allow(<rule>): <why this site is safe>`.
@@ -38,9 +39,9 @@
 //! suppressing nothing is itself a finding, so the escape hatches stay
 //! as reviewable as the violations they cover.
 //!
-//! The same engine backs three gates: the `accelwall lint [--json]` CLI
-//! subcommand, the `tests/lint.rs` integration test asserting the tree
-//! is clean, and the CI `lint` job.
+//! The same engine backs two gates: the `accelwall lint [--json]` CLI
+//! subcommand and the `tests/lint.rs` integration test asserting the
+//! tree is clean.
 
 pub mod ast;
 pub mod lexer;
@@ -63,8 +64,7 @@ pub struct Finding {
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// 1-based line; 0 when the finding concerns the file (or roster) as
-    /// a whole.
+    /// 1-based line; 0 when the finding concerns the file as a whole.
     pub line: usize,
     /// 1-based column; 0 when unanchored.
     pub col: usize,
@@ -107,78 +107,22 @@ pub const ALLOW_AUDIT_RULE: &str = "lint-allow";
 pub const ALLOW_AUDIT_DESCRIPTION: &str =
     "every lint:allow names a known rule, carries a justification, and suppresses something";
 
-/// An ordered collection of lints — the analyzer's `Registry::paper()`.
+/// The ordered rule roster — the analyzer's `Registry::paper()`.
 pub struct LintRegistry {
     lints: Vec<Box<dyn Lint>>,
-    /// Every rule name ever registered here, surviving [`select`]
-    /// filtering — so allow-comment auditing still recognizes allows
-    /// for rules that exist but were not asked to run.
-    ///
-    /// [`select`]: LintRegistry::select
-    recognized: Vec<&'static str>,
-}
-
-impl fmt::Debug for LintRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LintRegistry")
-            .field(
-                "rules",
-                &self.lints.iter().map(|l| l.name()).collect::<Vec<_>>(),
-            )
-            .field("recognized", &self.recognized)
-            .finish()
-    }
-}
-
-impl Default for LintRegistry {
-    fn default() -> LintRegistry {
-        LintRegistry::standard()
-    }
 }
 
 impl LintRegistry {
-    /// An empty registry, for composing a custom rule set.
-    pub fn new() -> LintRegistry {
-        LintRegistry {
-            lints: Vec::new(),
-            recognized: Vec::new(),
-        }
-    }
-
     /// Every shipped rule, in reporting order.
     pub fn standard() -> LintRegistry {
-        let mut r = LintRegistry::new();
-        r.register(Box::new(rules::registry_sync::RegistrySync));
-        r.register(Box::new(rules::float_hygiene::FloatHygiene));
-        r.register(Box::new(rules::doc_sync::DocSync));
-        r.register(Box::new(rules::fault_sites::FaultSites));
-        r.register(Box::new(rules::atomic_ordering::AtomicOrdering));
-        r.register(Box::new(rules::lock_order::LockOrder));
-        r.register(Box::new(rules::determinism::Determinism));
-        r
-    }
-
-    /// Adds a rule to the roster.
-    pub fn register(&mut self, lint: Box<dyn Lint>) {
-        self.recognized.push(lint.name());
-        self.lints.push(lint);
-    }
-
-    /// Restricts the roster to the named rules (the CLI's `--rule`),
-    /// preserving reporting order and the full-roster knowledge used by
-    /// allow auditing. Rejects unknown names with the known roster.
-    pub fn select(mut self, rules: &[String]) -> Result<LintRegistry, String> {
-        for rule in rules {
-            if !self.knows(rule) {
-                return Err(format!(
-                    "unknown rule {:?}; known rules: {}",
-                    rule,
-                    self.recognized.join(" ")
-                ));
-            }
+        LintRegistry {
+            lints: vec![
+                Box::new(rules::float_hygiene::FloatHygiene),
+                Box::new(rules::atomic_ordering::AtomicOrdering),
+                Box::new(rules::lock_order::LockOrder),
+                Box::new(rules::determinism::Determinism),
+            ],
         }
-        self.lints.retain(|l| rules.iter().any(|r| r == l.name()));
-        Ok(self)
     }
 
     /// Iterates the registered rules.
@@ -186,11 +130,9 @@ impl LintRegistry {
         self.lints.iter().map(Box::as_ref)
     }
 
-    /// Whether `rule` names a recognized lint (or the allow-audit
-    /// rule). Rules filtered out by [`select`](LintRegistry::select)
-    /// stay recognized.
+    /// Whether `rule` names a registered lint (or the allow-audit rule).
     pub fn knows(&self, rule: &str) -> bool {
-        rule == ALLOW_AUDIT_RULE || self.recognized.contains(&rule)
+        rule == ALLOW_AUDIT_RULE || self.lints().any(|l| l.name() == rule)
     }
 
     /// Runs every rule over the workspace, applies justified
@@ -218,49 +160,37 @@ impl LintRegistry {
         // Audit the escape hatches.
         for f in &ws.files {
             for a in &f.allows {
-                if !self.knows(&a.rule) {
-                    findings.push(Finding {
-                        rule: ALLOW_AUDIT_RULE,
-                        path: f.rel_path.clone(),
-                        line: a.line,
-                        col: 0,
-                        message: format!(
-                            "lint:allow names unknown rule {:?}; known rules: {}",
-                            a.rule,
-                            self.recognized.join(" ")
-                        ),
-                    });
+                let message = if !self.knows(&a.rule) {
+                    let known: Vec<&str> = self.lints().map(Lint::name).collect();
+                    format!(
+                        "lint:allow names unknown rule {:?}; known rules: {}",
+                        a.rule,
+                        known.join(" ")
+                    )
                 } else if a.justification.is_empty() {
-                    findings.push(Finding {
-                        rule: ALLOW_AUDIT_RULE,
-                        path: f.rel_path.clone(),
-                        line: a.line,
-                        col: 0,
-                        message: format!(
-                            "lint:allow({}) must carry a justification: \
-                             `// lint:allow({}): <why this site is safe>`",
-                            a.rule, a.rule
-                        ),
-                    });
-                } else if self.lints.iter().any(|l| l.name() == a.rule)
-                    && !used
-                        .iter()
-                        .any(|(p, l, r)| *p == f.rel_path && *l == a.line && *r == a.rule)
+                    format!(
+                        "lint:allow({}) must carry a justification: \
+                         `// lint:allow({}): <why this site is safe>`",
+                        a.rule, a.rule
+                    )
+                } else if !used
+                    .iter()
+                    .any(|(p, l, r)| *p == f.rel_path && *l == a.line && *r == a.rule)
                 {
-                    // Only rules that actually ran can prove an allow
-                    // unused — a `select()`-filtered run stays quiet
-                    // about allows for the rules it skipped.
-                    findings.push(Finding {
-                        rule: ALLOW_AUDIT_RULE,
-                        path: f.rel_path.clone(),
-                        line: a.line,
-                        col: 0,
-                        message: format!(
-                            "lint:allow({}) suppresses nothing here; remove the stale comment",
-                            a.rule
-                        ),
-                    });
-                }
+                    format!(
+                        "lint:allow({}) suppresses nothing here; remove the stale comment",
+                        a.rule
+                    )
+                } else {
+                    continue;
+                };
+                findings.push(Finding {
+                    rule: ALLOW_AUDIT_RULE,
+                    path: f.rel_path.clone(),
+                    line: a.line,
+                    col: 0,
+                    message,
+                });
             }
         }
         findings.sort_by(|a, b| {
@@ -358,7 +288,7 @@ mod tests {
     fn standard_registry_rule_names_are_unique_and_kebab() {
         let r = LintRegistry::standard();
         let names: Vec<&str> = r.lints().map(Lint::name).collect();
-        assert_eq!(names.len(), 7);
+        assert_eq!(names.len(), 4);
         let mut unique = names.clone();
         unique.sort_unstable();
         unique.dedup();
@@ -374,25 +304,6 @@ mod tests {
         assert!(r.knows("atomic-ordering"));
         assert!(r.knows(ALLOW_AUDIT_RULE));
         assert!(!r.knows("no-such-rule"));
-    }
-
-    #[test]
-    fn select_filters_but_still_recognizes_the_full_roster() {
-        let r = LintRegistry::standard()
-            .select(&["determinism".to_string(), "lock-order".to_string()])
-            .unwrap();
-        let names: Vec<&str> = r.lints().map(Lint::name).collect();
-        assert_eq!(names, ["lock-order", "determinism"], "reporting order kept");
-        assert!(r.knows("float-hygiene"), "filtered rules stay recognized");
-    }
-
-    #[test]
-    fn select_rejects_unknown_rules_with_the_roster() {
-        let err = LintRegistry::standard()
-            .select(&["no-such-rule".to_string()])
-            .unwrap_err();
-        assert!(err.contains("unknown rule \"no-such-rule\""), "{err}");
-        assert!(err.contains("atomic-ordering"), "{err}");
     }
 
     #[test]

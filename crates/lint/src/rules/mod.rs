@@ -7,11 +7,8 @@
 
 pub mod atomic_ordering;
 pub mod determinism;
-pub mod doc_sync;
-pub mod fault_sites;
 pub mod float_hygiene;
 pub mod lock_order;
-pub mod registry_sync;
 
 #[cfg(test)]
 pub(crate) mod testutil {
@@ -33,15 +30,6 @@ pub(crate) mod testutil {
                     )
                 })
                 .collect(),
-            experiments_md: None,
-            design_md: None,
         }
-    }
-
-    /// Same, with an EXPERIMENTS.md.
-    pub fn workspace_full(files: &[(&str, &str)], experiments_md: Option<&str>) -> Workspace {
-        let mut ws = workspace(files);
-        ws.experiments_md = experiments_md.map(str::to_string);
-        ws
     }
 }

@@ -1,11 +1,8 @@
 //! Workspace discovery and loading.
 //!
 //! The linter operates on the checkout, not on compiled artifacts: it
-//! walks the workspace root, lexes every `.rs` file, and reads
-//! `EXPERIMENTS.md` for the `doc-sync` rule and `DESIGN.md` for the
-//! `registry-sync` route-table check.
-//! Build output (`target/`), VCS metadata, and hidden directories are
-//! skipped.
+//! walks the workspace root and lexes every `.rs` file. Build output
+//! (`target/`), VCS metadata, and hidden directories are skipped.
 
 use crate::source::SourceFile;
 use std::fs;
@@ -19,10 +16,6 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Every lexed `.rs` file, sorted by path.
     pub files: Vec<SourceFile>,
-    /// `EXPERIMENTS.md`, when present.
-    pub experiments_md: Option<String>,
-    /// `DESIGN.md`, when present.
-    pub design_md: Option<String>,
 }
 
 impl Workspace {
@@ -61,13 +54,9 @@ impl Workspace {
         let mut files = Vec::new();
         walk(root, root, &mut files)?;
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        let experiments_md = fs::read_to_string(root.join("EXPERIMENTS.md")).ok();
-        let design_md = fs::read_to_string(root.join("DESIGN.md")).ok();
         Ok(Workspace {
             root: root.to_path_buf(),
             files,
-            experiments_md,
-            design_md,
         })
     }
 
@@ -125,8 +114,6 @@ mod tests {
             .iter()
             .any(|f| f.rel_path == "crates/lint/src/workspace.rs"));
         assert!(!ws.files.iter().any(|f| f.rel_path.starts_with("target/")));
-        assert!(ws.experiments_md.is_some());
-        assert!(ws.design_md.is_some());
     }
 
     #[test]

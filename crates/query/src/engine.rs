@@ -32,6 +32,7 @@ use accelerator_wall::json::Value;
 use accelwall_accelsim::sweep::{best_efficiency, best_performance};
 use accelwall_accelsim::{simulate_lowered, DesignConfig, SimReport, SweepPoint};
 use accelwall_cmos::TechNode;
+use accelwall_faults::Site;
 use accelwall_projection::wall::projection_input;
 use accelwall_projection::{project, Domain};
 use accelwall_workloads::Workload;
@@ -122,7 +123,7 @@ impl QueryEngine {
     /// then.
     pub fn compute(&self, spec: &QuerySpec, miss: Miss) -> Result<Arc<[u8]>, QueryError> {
         self.computes.fetch_add(1, Ordering::Relaxed);
-        if let Err(fault) = accelwall_faults::probe(accelwall_faults::sites::QUERY_COMPUTE) {
+        if let Err(fault) = accelwall_faults::probe(Site::QueryCompute) {
             return Err(QueryError::Engine(fault.into()));
         }
         let pretty = self.execute(spec)?.pretty();

@@ -31,6 +31,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use accelwall_faults::Site;
+
 use crate::http::{parse_bytes, ParseOutcome, Request, RequestError, Response, MAX_BODY_BYTES};
 use crate::metrics::Route;
 use crate::{ask, lock, query_response, route_request, Shared};
@@ -225,7 +227,7 @@ fn admit(shared: &Shared) -> Result<(), Option<Response>> {
     // The `serve-conn` chaos site: an `err` sheds the connection with a
     // 503 + close, a `panic` is contained right here — the connection
     // drops but the thread survives.
-    match catch_unwind(|| accelwall_faults::probe(accelwall_faults::sites::SERVE_CONN)) {
+    match catch_unwind(|| accelwall_faults::probe(Site::ServeConn)) {
         Ok(Ok(())) => {}
         Ok(Err(fault)) => return Err(Some(Response::text(503, format!("{fault}\n")))),
         Err(_) => return Err(None),
@@ -481,16 +483,13 @@ fn answer(shared: &Shared, request: &Request) -> Option<Staged> {
         // The `serve-request` fault site: a `panic` rule unwinds out of
         // this handler (the connection drops), an `err` rule answers
         // 500, a `hang` rule holds this thread and its compute slot.
-        let (route, response) =
-            match accelwall_faults::probe(accelwall_faults::sites::SERVE_REQUEST) {
-                Err(fault) => (Route::Other, Response::text(500, format!("{fault}\n"))),
-                Ok(()) => match query {
-                    Some((spec, miss)) => {
-                        (Route::Query, query_response(&shared.engine, &spec, miss))
-                    }
-                    None => route_request(request, shared),
-                },
-            };
+        let (route, response) = match accelwall_faults::probe(Site::ServeRequest) {
+            Err(fault) => (Route::Other, Response::text(500, format!("{fault}\n"))),
+            Ok(()) => match query {
+                Some((spec, miss)) => (Route::Query, query_response(&shared.engine, &spec, miss)),
+                None => route_request(request, shared),
+            },
+        };
         // Populate the warm path: only `200`s for cacheable shapes.
         if let (Some(key), 200) = (&key, response.status) {
             shared.respcache.insert(key, route, &response);

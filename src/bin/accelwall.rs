@@ -10,24 +10,22 @@
 //! accelwall list [--json]
 //! accelwall query [--schema] [--field value ...]
 //! accelwall serve [--addr HOST:PORT] [--workers N] [--deadline-ms N] [--threads N]
-//! accelwall lint [--json] [--rule NAME ...] [--list-rules]
+//! accelwall lint [--json] [--list-rules]
 //! ```
 //!
 //! The target roster is owned by [`Registry::paper`]; this binary is a
 //! thin driver around it. `list` prints every registered target with its
 //! description (`--json` emits the same roster document the server's
-//! `GET /experiments` route returns), `all` runs the whole registry in
-//! dependency order with independent experiments executing in parallel,
-//! and `--json` swaps the text rendering for the experiment's JSON
-//! artifact. With `all`, `--json` emits one JSON document keyed by
-//! experiment id. `serve` starts the long-lived artifact server
-//! (`accelwall-server`): one process-lifetime cache, every artifact
-//! computed at most once, `POST /shutdown` for a graceful drain.
-//! `lint` runs the workspace invariant checker (`accelwall-lint`) over
-//! the enclosing checkout and exits non-zero on any finding.
-//! `--list-rules` prints the rule roster; `--rule NAME` (repeatable)
-//! restricts the run to the named rules, rejecting unknown names with
-//! the full roster — the same strictness as an unknown target.
+//! `GET /experiments` route returns), `all` runs the whole registry one
+//! target at a time in dependency order, and `--json` swaps the text
+//! rendering for the experiment's JSON artifact. With `all`, `--json`
+//! emits one JSON document keyed by experiment id. `serve` starts the
+//! long-lived artifact server (`accelwall-server`): one process-lifetime
+//! cache, every artifact computed at most once, `POST /shutdown` for a
+//! graceful drain.
+//! `lint` runs every rule of the workspace invariant checker
+//! (`accelwall-lint`) over the enclosing checkout and exits non-zero on
+//! any finding; `--list-rules` prints the rule roster instead.
 //!
 //! `serve` also reads the `ACCELWALL_FAULTS` environment variable: a
 //! fault-plan spec (`fig3b:err:2,table5:hang:500ms`, see the
@@ -53,7 +51,7 @@
 //! the flag must be — and is — applied before any experiment runs.
 
 use accelerator_wall::error::Error;
-use accelerator_wall::experiments::dfg::dot_artifact;
+use accelerator_wall::experiments::dot_artifact;
 use accelerator_wall::json::Value;
 use accelerator_wall::prelude::{ArtifactCache, Ctx, Registry};
 use accelwall_server::{Server, ServerConfig};
@@ -106,10 +104,6 @@ const KNOWN_FLAGS: &[(&str, &str)] = &[
     ("--workers", "requests computed at once (serve only)"),
     ("--deadline-ms", "compute deadline before 504 (serve only)"),
     ("--threads", "compute-pool thread count (all and serve)"),
-    (
-        "--rule",
-        "run only the named lint rule, repeatable (lint only)",
-    ),
     ("--list-rules", "print the lint rule roster (lint only)"),
 ];
 
@@ -123,7 +117,6 @@ struct Args {
     workers: Option<usize>,
     deadline_ms: Option<u64>,
     threads: Option<usize>,
-    rules: Vec<String>,
     list_rules: bool,
 }
 
@@ -171,7 +164,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
                     }
                     args.threads = Some(threads);
                 }
-                "rule" => args.rules.push(value_for("a rule name")?),
                 "list-rules" => {
                     if inline.is_some() {
                         return Err("flag --list-rules takes no value".to_string());
@@ -223,12 +215,8 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.threads.is_some() && !computes {
         return Err("--threads only applies to `accelwall all` and `accelwall serve`".to_string());
     }
-    let is_lint = args.target.as_deref() == Some("lint");
-    if !is_lint && (!args.rules.is_empty() || args.list_rules) {
-        return Err("--rule and --list-rules only apply to `accelwall lint`".to_string());
-    }
-    if args.list_rules && !args.rules.is_empty() {
-        return Err("--list-rules and --rule are mutually exclusive".to_string());
+    if args.list_rules && args.target.as_deref() != Some("lint") {
+        return Err("--list-rules only applies to `accelwall lint`".to_string());
     }
     if args.operand.is_some() && !matches!(args.target.as_deref(), Some("dot")) {
         return Err(format!(
@@ -385,13 +373,13 @@ fn query(raw: &[String]) -> ExitCode {
     }
 }
 
-/// Runs the workspace invariant checker over the enclosing checkout.
+/// Runs every rule of the workspace invariant checker over the
+/// enclosing checkout.
 ///
 /// The workspace root is discovered by walking upward from the current
 /// directory, so `accelwall lint` works from any subdirectory of the
 /// repo; a run outside any checkout fails with the discovery error.
-/// `--list-rules` prints the roster instead; `--rule NAME` restricts
-/// the run, rejecting unknown names with the known roster.
+/// `--list-rules` prints the roster instead.
 fn lint(args: &Args) -> ExitCode {
     use accelwall_lint::{LintRegistry, ALLOW_AUDIT_DESCRIPTION, ALLOW_AUDIT_RULE};
     let registry = LintRegistry::standard();
@@ -417,18 +405,6 @@ fn lint(args: &Args) -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let registry = if args.rules.is_empty() {
-        registry
-    } else {
-        match registry.select(&args.rules) {
-            Ok(registry) => registry,
-            Err(message) => {
-                eprintln!("{message}");
-                eprintln!("run `accelwall lint --list-rules` for descriptions");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
     let report = std::env::current_dir()
         .and_then(|dir| accelwall_lint::Workspace::discover(&dir))
         .map(|ws| registry.run(&ws));

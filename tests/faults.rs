@@ -1,11 +1,12 @@
-//! Chaos tests of `accelwall serve` under an armed fault plan: injected
-//! transient errors answer 500-with-Retry-After and then recover
-//! byte-identical to the CLI, contained experiment panics never reach
-//! the request handler, `serve-request` panics drop the connection and
-//! are counted, hangs turn into 504s while the compute settles in the
-//! background, query-engine compute faults answer retryably without
-//! poisoning the query LRU, and malformed
-//! `ACCELWALL_FAULTS` specs abort startup before the socket binds.
+//! Chaos tests of `accelwall serve` under an armed fault plan: every
+//! static site in the faults roster fires, injected transient errors
+//! answer 500-with-Retry-After and then recover byte-identical to the
+//! CLI, contained experiment panics never reach the request handler,
+//! `serve-request` panics drop the connection and are counted, hangs
+//! turn into 504s while the compute settles in the background,
+//! query-engine compute faults answer retryably without poisoning the
+//! query LRU, and malformed `ACCELWALL_FAULTS` specs abort startup
+//! before the socket binds.
 
 mod common;
 
@@ -34,7 +35,33 @@ fn spawn(faults: &str, extra_args: &[&str]) -> ServeProcess {
     serve
 }
 
-/// The ISSUE acceptance scenario: `fig3a:err:2` fails the first two
+/// Every static site in the faults roster is probed by the running
+/// server. Armed alone at `err:1`, each fires exactly once under one
+/// fixed mix of requests, each on a new connection: `/healthz`, an
+/// uncached `/experiments/fig3a` and a `/query` miss. A roster site
+/// that nothing probes stays at 0 and fails here.
+#[test]
+fn every_static_fault_site_fires_under_a_fixed_mix() {
+    for site in accelwall_faults::sites::names() {
+        let serve = spawn(&format!("{site}:err:1"), &[]);
+        let addr = serve.addr.clone();
+        // Whichever request reaches the site first answers 503 or 500;
+        // the budget is then spent and the rest pass.
+        for path in [
+            "/healthz",
+            "/experiments/fig3a",
+            "/query?workload=fft&node=7nm&lanes=2",
+        ] {
+            try_request(&addr, "GET", path, None);
+        }
+        let metrics = get(&addr, "/metrics").body;
+        let fired = format!("accelwall_fault_injections_total{{site=\"{site}\",kind=\"err\"}} 1");
+        assert!(metrics.contains(&fired), "{site} never fired:\n{metrics}");
+        serve.shutdown_and_wait();
+    }
+}
+
+/// The transient-error scenario: `fig3a:err:2` fails the first two
 /// requests with a retryable 500, degrades `/healthz`, and the third
 /// request (past the backoff) recovers byte-identical to the CLI, with
 /// the retries visible in `/metrics` and no worker casualties.
@@ -150,7 +177,7 @@ fn a_panicking_experiment_is_contained_and_other_targets_keep_serving() {
 /// connection (the client sees it close unanswered), and the server
 /// keeps answering afterwards.
 #[test]
-fn worker_panics_drop_the_connection_and_the_pool_respawns() {
+fn handler_panics_drop_the_connection_and_the_server_keeps_answering() {
     let serve = spawn("serve-request:panic:2", &[]);
     let addr = serve.addr.clone();
 
@@ -288,7 +315,7 @@ fn injected_query_compute_faults_fail_retryably_without_poisoning_the_cache() {
 /// connection with a 503 + close, and a `panic` is contained there —
 /// the connection drops, but the server keeps accepting afterwards.
 #[test]
-fn injected_connection_faults_shed_or_drop_without_killing_the_reactor() {
+fn injected_connection_faults_shed_or_drop_and_the_server_keeps_accepting() {
     // err: the connection is answered 503 and closed, never reaching
     // the parser or a handler.
     let serve = spawn("serve-conn:err:1", &[]);
