@@ -14,11 +14,13 @@
 //! `CSR = total gain / (partitioning gain × CMOS gain)`, i.e. the product
 //! of the heterogeneity and simplification factors.
 
-use crate::sim::{simulate_lowered, DesignConfig, SimReport};
-use crate::sweep::{best_efficiency, best_performance, run_sweep_lowered, SweepPoint, SweepSpace};
+use crate::sim::{DesignConfig, SimReport};
+use crate::sweep::{best_efficiency, best_performance, SweepPoint, SweepSpace};
+use crate::table::WalkTable;
 use crate::{Result, SimError};
 use accelwall_cmos::TechNode;
-use accelwall_dfg::{Dfg, Program};
+use accelwall_dfg::Dfg;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Which target function the optimum maximizes.
@@ -109,57 +111,57 @@ pub struct Attribution {
 
 /// Computes the Fig. 14 attribution of `dfg` under `metric`, sweeping
 /// `space` for the optimum. Lowers once; the sweep and the toggle chain
-/// share the program.
+/// price from one [`WalkTable`].
 ///
 /// # Errors
 ///
 /// Propagates simulation errors (invalid space, empty graph).
 pub fn attribute_gains(dfg: &Dfg, metric: Metric, space: &SweepSpace) -> Result<Attribution> {
-    let program = dfg.lower();
-    let points = run_sweep_lowered(&program, space)?;
-    attribute_gains_lowered(&program, metric, &points)
+    let table = WalkTable::new(&dfg.lower());
+    let points = table.sweep(space)?;
+    attribute_gains_priced(&table, metric, points)
 }
 
 /// Computes the Fig. 14 attribution from an already-run sweep over `dfg`.
-/// Front-end convenience over [`attribute_gains_lowered`] that lowers per
-/// call; callers that already hold the program should use the lowered
-/// entry point directly.
+/// Front-end convenience over [`attribute_gains_priced`] that lowers and
+/// builds the walk table per call.
 ///
 /// # Errors
 ///
-/// Same as [`attribute_gains_lowered`].
+/// Same as [`attribute_gains_priced`].
 pub fn attribute_gains_with_points(
     dfg: &Dfg,
     metric: Metric,
     points: &[SweepPoint],
 ) -> Result<Attribution> {
-    attribute_gains_lowered(&dfg.lower(), metric, points)
+    attribute_gains_priced(&WalkTable::new(&dfg.lower()), metric, points)
 }
 
-/// Computes the Fig. 14 attribution from an already-run sweep over a
-/// lowered `program`.
+/// Computes the Fig. 14 attribution of the program `table` was built
+/// from, at the optimum of `points`.
 ///
-/// This is the reuse path: callers that sweep once and derive several
-/// analyses from the same points (the Fig. 13 scatter, both Fig. 14
-/// metrics) avoid re-simulating the whole Table III grid — and re-lowering
-/// the graph — per call. `points` must come from sweeping `program`
-/// itself; the toggle chain re-prices it at the optimum found in `points`.
+/// This is the reuse path: callers that derive several analyses from one
+/// program's design space (the Fig. 13 scatter, both Fig. 14 metrics)
+/// share one table, and neither re-lower the graph nor re-run a walk.
+/// `points` must come from that program — a slice of swept points or the
+/// table's own [`WalkTable::sweep`] iterator; the toggle chain re-prices
+/// its optimum through the table.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::EmptySweep`] when `points` is empty, and
 /// propagates simulation errors from the toggle chain.
-pub fn attribute_gains_lowered(
-    program: &Program,
+pub fn attribute_gains_priced<P: Borrow<SweepPoint>>(
+    table: &WalkTable,
     metric: Metric,
-    points: &[SweepPoint],
+    points: impl IntoIterator<Item = P>,
 ) -> Result<Attribution> {
     let best = match metric {
         Metric::Performance => best_performance(points),
         Metric::EnergyEfficiency => best_efficiency(points),
     }
     .ok_or(SimError::EmptySweep)?;
-    let target = best.config;
+    let target = best.borrow().config;
 
     // Toggle chain: baseline -> +P -> +het -> +simplification -> +CMOS.
     let steps = [
@@ -181,7 +183,7 @@ pub fn attribute_gains_lowered(
     ];
     let values: Vec<f64> = steps
         .iter()
-        .map(|c| simulate_lowered(program, c).map(|r| metric.of(&r)))
+        .map(|c| table.price(c).map(|r| metric.of(&r)))
         .collect::<Result<_>>()?;
 
     let total_gain = values[4] / values[0];
@@ -216,7 +218,7 @@ pub fn attribute_gains_lowered(
         .product();
 
     Ok(Attribution {
-        workload: program.name().to_string(),
+        workload: table.name().to_string(),
         metric,
         best_config: target,
         total_gain,

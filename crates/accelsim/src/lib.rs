@@ -23,9 +23,11 @@
 //!   window through [`accelwall_cmos`].
 //!
 //! The output of a run is a [`SimReport`] with cycles, runtime, energy,
-//! power, area, throughput, and energy efficiency; [`sweep`] runs the full
-//! Table III grid (Fig. 13) and [`attribution`] decomposes each workload's
-//! optimal-point gain into the four sources of Fig. 14.
+//! power, area, throughput, and energy efficiency; a [`WalkTable`] runs a
+//! program's graph walks once and prices any design point from them,
+//! [`sweep`] runs the full Table III grid (Fig. 13) over one, and
+//! [`attribution`] decomposes each workload's optimal-point gain into the
+//! four sources of Fig. 14.
 //!
 //! # Example
 //!
@@ -53,13 +55,15 @@ pub mod fu;
 pub mod sched;
 pub mod sim;
 pub mod sweep;
+pub mod table;
 
 pub use attribution::{
-    attribute_gains, attribute_gains_lowered, attribute_gains_with_points, Attribution, GainSource,
+    attribute_gains, attribute_gains_priced, attribute_gains_with_points, Attribution, GainSource,
 };
 pub use sched::{schedule, schedule_lowered, schedule_reference, simulate_scheduled, Schedule};
 pub use sim::{simulate, simulate_lowered, DesignConfig, SimReport};
 pub use sweep::{run_sweep, run_sweep_lowered, SweepPoint, SweepSpace};
+pub use table::WalkTable;
 
 use std::error::Error;
 use std::fmt;

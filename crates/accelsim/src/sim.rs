@@ -307,10 +307,10 @@ pub(crate) fn assemble_report(
 /// `cycles = max(critical path, work / lanes)`, with per-op costs from the
 /// FU library scaled by fusion, serialization, and CMOS node — the same
 /// quantities Aladdin extracts from its dynamic trace. A timing walk and
-/// an energy walk read only the flat SoA arrays; the sweep runs the same
-/// two walks, once per distinct key, so one cost model prices every
-/// point. Callers pricing many points over one graph (the sweep, the
-/// attribution toggle chain) share one lowered program.
+/// an energy walk read only the flat SoA arrays. Callers pricing many
+/// points over one graph (the sweep, the attribution toggle chain) build
+/// a [`WalkTable`](crate::WalkTable) instead, which runs the same two
+/// walks once per distinct key, so one cost model prices every point.
 ///
 /// # Errors
 ///

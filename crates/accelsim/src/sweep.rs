@@ -1,12 +1,11 @@
 //! The Table III design-space sweep (Fig. 13).
 
-use crate::sim::{
-    assemble_report, energy_walk, graph_costs, timing_walk, DesignConfig, SimReport, Timing,
-    MAX_PARTITION, MAX_SIMPLIFICATION,
-};
-use crate::{Result, SimError};
+use crate::sim::{DesignConfig, SimReport, MAX_PARTITION, MAX_SIMPLIFICATION};
+use crate::table::WalkTable;
+use crate::Result;
 use accelwall_cmos::TechNode;
 use accelwall_dfg::{Dfg, Program};
+use std::borrow::Borrow;
 
 /// The swept parameter grid of Table III.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,10 +23,6 @@ pub struct SweepSpace {
 impl SweepSpace {
     /// The full Table III grid: partitioning 1…2¹⁹, simplification 1…13,
     /// nodes {45, 32, 22, 14, 10, 7, 5} nm — 20 × 13 × 7 = 1820 points.
-    /// With fusion on, the seven nodes fall in four fusion windows and
-    /// the thirteen degrees in three pass counts, so
-    /// [`run_sweep_lowered`] prices the grid from 12 timing walks and 13
-    /// energy walks.
     pub fn table3() -> Self {
         SweepSpace {
             partition_factors: (0..=MAX_PARTITION.trailing_zeros() as u64)
@@ -81,74 +76,19 @@ pub struct SweepPoint {
 }
 
 /// Runs the sweep over one lowered `program`, one [`SweepPoint`] per
-/// configuration, sharing the program across every grid point.
-///
-/// A timing walk (critical path and work) depends only on the fusion
-/// window and the serial pass count, and an energy walk only on the
-/// simplification degree; neither depends on the partitioning factor.
-/// The sweep therefore runs one timing walk per distinct
-/// `(fusion window, serial passes)` and one energy walk per distinct
-/// degree — 12 and 13 for the Table III grid's 91 `(node, degree)`
-/// pairs — then an O(1) `assemble_report` per point. [`simulate_lowered`](crate::simulate_lowered) runs the same
-/// walks and assembly, so every report is bit-identical to simulating
-/// each point from scratch. The walks are short, so they run in a plain
-/// loop on the calling thread.
+/// configuration: a collect over the program's [`WalkTable`], which runs
+/// each graph walk once and prices every point with an O(1) assembly, so
+/// every report is bit-identical to simulating each point from scratch
+/// with [`simulate_lowered`](crate::simulate_lowered).
 ///
 /// # Errors
 ///
-/// Surfaces the same error the per-point loop would: the first
-/// [`SimError::InvalidConfig`] in configuration order, or
-/// [`SimError::EmptyGraph`] for graphs without compute vertices.
+/// Those of [`WalkTable::sweep`].
 pub fn run_sweep_lowered(program: &Program, space: &SweepSpace) -> Result<Vec<SweepPoint>> {
-    // Validate up front in configuration order so the surfaced error is
-    // the one the point-at-a-time loop would have hit first. Validity
-    // does not depend on the node, so the first node's block of configs
-    // holds the first invalid one.
-    let node_block = space.simplification_degrees.len() * space.partition_factors.len();
-    for config in space.configs().take(node_block) {
-        config.validate()?;
-        if program.stats().computes == 0 {
-            return Err(SimError::EmptyGraph);
-        }
-    }
-
-    let costs = graph_costs(program);
-    let mut timings: Vec<((u32, u32), Timing)> = Vec::new();
-    let mut energies: Vec<(u32, f64)> = Vec::new();
+    let table = WalkTable::new(program);
     let mut points = Vec::with_capacity(space.len());
-    for &node in &space.nodes {
-        for &degree in &space.simplification_degrees {
-            let row = DesignConfig::new(node, 1, degree, space.heterogeneity);
-            let (window, passes) = (row.fusion_window(), row.serial_passes());
-            let timing = memo(&mut timings, (window, passes), || {
-                timing_walk(program, window, passes)
-            });
-            let dynamic_pj = memo(&mut energies, degree, || {
-                energy_walk(program, row.width_factor(), passes)
-            });
-            // O(1) assembly per grid point, in configuration order.
-            for &partition_factor in &space.partition_factors {
-                let config = DesignConfig {
-                    partition_factor,
-                    ..row
-                };
-                let report = assemble_report(&timing, dynamic_pj, &costs, &config);
-                points.push(SweepPoint { config, report });
-            }
-        }
-    }
+    points.extend(table.sweep(space)?);
     Ok(points)
-}
-
-/// The value `walk` gives for `key`, run at most once per key: a linear
-/// scan, since a sweep sees a dozen keys.
-fn memo<K: PartialEq, V: Copy>(seen: &mut Vec<(K, V)>, key: K, walk: impl FnOnce() -> V) -> V {
-    if let Some(&(_, value)) = seen.iter().find(|(k, _)| *k == key) {
-        return value;
-    }
-    let value = walk();
-    seen.push((key, value));
-    value
 }
 
 /// Runs the sweep over `dfg` — the front-end convenience over
@@ -163,18 +103,16 @@ pub fn run_sweep(dfg: &Dfg, space: &SweepSpace) -> Result<Vec<SweepPoint>> {
 }
 
 /// The sweep point with the best energy efficiency (the Fig. 13 annotated
-/// optimum).
-pub fn best_efficiency(points: &[SweepPoint]) -> Option<&SweepPoint> {
+/// optimum), the last of equals in iteration order. Takes a slice of
+/// points or a [`WalkTable::sweep`] iterator alike.
+pub fn best_efficiency<P: Borrow<SweepPoint>>(points: impl IntoIterator<Item = P>) -> Option<P> {
     // NaN policy: a poisoned point can never be the optimum (and, under
     // `total_cmp` alone, a positive NaN would outrank every real value).
+    let efficiency = |p: &P| p.borrow().report.energy_efficiency();
     points
-        .iter()
-        .filter(|p| p.report.energy_efficiency().is_finite())
-        .max_by(|a, b| {
-            a.report
-                .energy_efficiency()
-                .total_cmp(&b.report.energy_efficiency())
-        })
+        .into_iter()
+        .filter(|p| efficiency(p).is_finite())
+        .max_by(|a, b| efficiency(a).total_cmp(&efficiency(b)))
 }
 
 /// The runtime–power Pareto frontier of a sweep: the design points no
@@ -203,13 +141,15 @@ pub fn pareto_runtime_power(points: &[SweepPoint]) -> Vec<&SweepPoint> {
     frontier
 }
 
-/// The sweep point with the best throughput.
-pub fn best_performance(points: &[SweepPoint]) -> Option<&SweepPoint> {
+/// The sweep point with the best throughput, the last of equals in
+/// iteration order.
+pub fn best_performance<P: Borrow<SweepPoint>>(points: impl IntoIterator<Item = P>) -> Option<P> {
     // Same NaN policy as [`best_efficiency`]: poisoned points never win.
+    let throughput = |p: &P| p.borrow().report.throughput();
     points
-        .iter()
-        .filter(|p| p.report.throughput().is_finite())
-        .max_by(|a, b| a.report.throughput().total_cmp(&b.report.throughput()))
+        .into_iter()
+        .filter(|p| throughput(p).is_finite())
+        .max_by(|a, b| throughput(a).total_cmp(&throughput(b)))
 }
 
 #[cfg(test)]
@@ -228,21 +168,6 @@ mod tests {
         assert_eq!(s.nodes.len(), 7);
         assert_eq!(s.len(), 1820);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn table3_prices_from_12_timing_keys_and_13_degrees() {
-        // The walk counts the sweep docs promise: seven nodes share four
-        // fusion windows, and thirteen degrees three pass counts.
-        let space = SweepSpace::table3();
-        let mut timing_keys: Vec<(u32, u32)> = space
-            .configs()
-            .map(|c| (c.fusion_window(), c.serial_passes()))
-            .collect();
-        timing_keys.sort_unstable();
-        timing_keys.dedup();
-        assert_eq!(timing_keys.len(), 12);
-        assert_eq!(space.simplification_degrees.len(), 13);
     }
 
     #[test]

@@ -4,21 +4,24 @@
 //! synthetic datasheet corpus (Figs. 3b/3c), the fitted transistor-count
 //! law (Fig. 3b), the calibrated potential model (Fig. 3d, dark silicon,
 //! the roadmap), the per-workload bytecode programs, and the
-//! per-workload Table III sweeps (Figs. 13/14). A `Ctx` computes each of
-//! these exactly once per process — concurrent callers block on the same
-//! [`OnceLock`] rather than recomputing — and counts computes vs.
-//! requests so tests can assert the "at most once" guarantee instead of
-//! trusting it.
+//! per-workload walk tables that price the Table III sweeps (Figs. 13/14)
+//! and `/query` points. A `Ctx` computes each of these exactly once per
+//! process — concurrent callers block on the same [`OnceLock`] rather
+//! than recomputing — and counts computes vs. requests so tests can
+//! assert the "at most once" guarantee instead of trusting it.
 //!
-//! A workload's front-end graph is read only by its one-time lowering,
-//! so [`Ctx::program`] builds the graph inside the program's once-cell,
-//! lowers it and drops it: a `Ctx` holds each workload's program, never
-//! its graph.
+//! A `Ctx` keeps inputs, not intermediates. A workload's front-end graph
+//! is read only by its one-time lowering, so [`Ctx::program`] builds the
+//! graph inside the program's once-cell, lowers it and drops it. A sweep's
+//! points are read only by the reduction each reader makes of them, so
+//! [`Ctx::walk_table`] keeps the walks that price them — a few hundred
+//! bytes per workload — and [`Ctx::sweep_points`] hands them out one at a
+//! time, in configuration order, for each reader to reduce on its own.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use accelwall_accelsim::{run_sweep_lowered, SweepPoint, SweepSpace};
+use accelwall_accelsim::{SweepPoint, SweepSpace, WalkTable};
 use accelwall_chipdb::{fit, ChipRecord, CorpusSpec};
 use accelwall_dfg::{Dfg, Program};
 use accelwall_potential::PotentialModel;
@@ -37,6 +40,7 @@ pub struct Ctx {
     corpus: OnceLock<Vec<ChipRecord>>,
     density_fit: OnceLock<Result<PowerLaw>>,
     model: OnceLock<PotentialModel>,
+    tables: Vec<OnceLock<Result<WalkTable>>>,
     sweeps: Vec<OnceLock<Result<Vec<SweepPoint>>>>,
     programs: Vec<OnceLock<Arc<Program>>>,
     corpus_computes: AtomicUsize,
@@ -60,7 +64,9 @@ pub struct Ctx {
 /// built; `*_requests` counts accessor calls. The pipeline invariant is
 /// `corpus_computes <= 1`, `fit_computes <= 1`, `model_computes <= 1`,
 /// and `sweep_computes <= ` number of distinct workloads, regardless of
-/// request counts or thread interleaving.
+/// request counts or thread interleaving. The `sweep_*` pair keeps its
+/// name (and its `/metrics` series) but counts walk tables, which price
+/// every sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtxCounters {
     /// Times the datasheet corpus was generated.
@@ -75,14 +81,14 @@ pub struct CtxCounters {
     pub model_computes: usize,
     /// Times [`Ctx::potential_model`] was called.
     pub model_requests: usize,
-    /// Workload sweeps actually simulated.
+    /// Walk tables actually built, one per workload at most.
     pub sweep_computes: usize,
-    /// Times [`Ctx::sweep`] was called.
+    /// Times [`Ctx::walk_table`] was called, directly or through
+    /// [`Ctx::sweep_points`] or a first [`Ctx::sweep`].
     pub sweep_requests: usize,
     /// Graphs actually built and lowered to bytecode programs. The
     /// pipeline invariant is one lowering per distinct workload
-    /// regardless of how many sweep points or toggle chains consume the
-    /// program.
+    /// regardless of how many readers consume the program.
     pub lowerings: usize,
     /// Times [`Ctx::program`] was called.
     pub program_requests: usize,
@@ -108,6 +114,7 @@ impl Ctx {
             corpus: OnceLock::new(),
             density_fit: OnceLock::new(),
             model: OnceLock::new(),
+            tables: Workload::all().iter().map(|_| OnceLock::new()).collect(),
             sweeps: Workload::all().iter().map(|_| OnceLock::new()).collect(),
             programs: Workload::all().iter().map(|_| OnceLock::new()).collect(),
             corpus_computes: AtomicUsize::new(0),
@@ -165,33 +172,62 @@ impl Ctx {
         })
     }
 
-    /// The memoized [`run_sweep_lowered`] of `workload` over
-    /// [`Ctx::sweep_space`]. The sweep shares the workload's cached
-    /// bytecode program ([`Ctx::program`]) — one lowering covers every
-    /// grid point.
+    /// The memoized [`WalkTable`] of `workload`, built from its cached
+    /// bytecode program ([`Ctx::program`]): every graph walk any of the
+    /// workload's design points needs, run once, so each point then
+    /// prices in O(1) ([`WalkTable::price`]).
     ///
     /// # Errors
     ///
-    /// Returns the (memoized) simulation failure for invalid spaces.
-    pub fn sweep(&self, workload: Workload) -> Result<&[SweepPoint]> {
+    /// [`Error::UnknownWorkload`] for a workload outside the roster.
+    pub fn walk_table(&self, workload: Workload) -> Result<&WalkTable> {
         self.sweep_requests.fetch_add(1, Ordering::Relaxed);
-        let slot = Workload::all()
-            .iter()
-            .position(|&w| w == workload)
-            .and_then(|i| self.sweeps.get(i))
-            .ok_or_else(|| Error::UnknownWorkload {
-                name: format!("{workload:?}"),
-            })?;
-        slot.get_or_init(|| {
-            self.sweep_computes.fetch_add(1, Ordering::Relaxed);
-            self.program(workload).and_then(|program| {
-                run_sweep_lowered(&program, &self.sweep_space)
-                    .context(format!("sweeping {}", workload.abbrev()))
+        slot(&self.tables, workload)?
+            .get_or_init(|| {
+                self.sweep_computes.fetch_add(1, Ordering::Relaxed);
+                self.program(workload)
+                    .map(|program| WalkTable::new(&program))
             })
-        })
-        .as_ref()
-        .map(Vec::as_slice)
-        .map_err(Clone::clone)
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// `workload`'s points over [`Ctx::sweep_space`], priced from its
+    /// [`Ctx::walk_table`] one at a time in configuration order. Nothing
+    /// keeps them: clone the iterator to walk the space again.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownWorkload`], or the simulation failure for an
+    /// invalid space.
+    pub fn sweep_points(
+        &self,
+        workload: Workload,
+    ) -> Result<impl Iterator<Item = SweepPoint> + Clone + '_> {
+        self.walk_table(workload)?
+            .sweep(&self.sweep_space)
+            .map_err(|e| Error::from(e).context(format!("sweeping {}", workload.abbrev())))
+    }
+
+    /// `workload`'s points over [`Ctx::sweep_space`], collected from
+    /// [`Ctx::sweep_points`] and kept for the life of the `Ctx`. Kept
+    /// only for perfbench's in-process layer replay: 1,820 points of 72
+    /// bytes per workload are more than any reader needs, so no product
+    /// path calls it (a `run_all` test pins that).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Ctx::sweep_points`].
+    pub fn sweep(&self, workload: Workload) -> Result<&[SweepPoint]> {
+        slot(&self.sweeps, workload)?
+            .get_or_init(|| {
+                let mut points = Vec::with_capacity(self.sweep_space.len());
+                points.extend(self.sweep_points(workload)?);
+                Ok(points)
+            })
+            .as_ref()
+            .map(Vec::as_slice)
+            .map_err(Clone::clone)
     }
 
     /// Builds `workload`'s front-end graph (its default instance). Not
@@ -218,14 +254,7 @@ impl Ctx {
     /// [`Error::UnknownWorkload`] for a workload outside the roster.
     pub fn program(&self, workload: Workload) -> Result<Arc<Program>> {
         self.program_requests.fetch_add(1, Ordering::Relaxed);
-        let slot = Workload::all()
-            .iter()
-            .position(|&w| w == workload)
-            .and_then(|i| self.programs.get(i))
-            .ok_or_else(|| Error::UnknownWorkload {
-                name: format!("{workload:?}"),
-            })?;
-        Ok(slot
+        Ok(slot(&self.programs, workload)?
             .get_or_init(|| {
                 self.lowerings.fetch_add(1, Ordering::Relaxed);
                 let program = Arc::new(workload.default_instance().lower());
@@ -266,6 +295,17 @@ impl Default for Ctx {
     }
 }
 
+/// `workload`'s slot in a per-workload memo, in roster order.
+fn slot<T>(slots: &[T], workload: Workload) -> Result<&T> {
+    Workload::all()
+        .iter()
+        .position(|&w| w == workload)
+        .and_then(|i| slots.get(i))
+        .ok_or_else(|| Error::UnknownWorkload {
+            name: format!("{workload:?}"),
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,17 +335,46 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_memoize_per_workload() {
+    fn walk_tables_memoize_per_workload() {
         let ctx = Ctx::with_space(SweepSpace::coarse());
-        let a = ctx.sweep(Workload::Red).unwrap().len();
-        let b = ctx.sweep(Workload::Red).unwrap().len();
-        let c = ctx.sweep(Workload::Trd).unwrap().len();
-        assert_eq!(a, b);
-        assert_eq!(a, SweepSpace::coarse().len());
-        assert_eq!(c, SweepSpace::coarse().len());
-        let counters = ctx.counters();
-        assert_eq!(counters.sweep_computes, 2);
-        assert_eq!(counters.sweep_requests, 3);
+        let a = ctx.walk_table(Workload::Red).unwrap();
+        let b = ctx.walk_table(Workload::Red).unwrap();
+        assert!(std::ptr::eq(a, b), "second request must hit the cache");
+        let n = ctx.sweep_points(Workload::Trd).unwrap().count();
+        assert_eq!(n, SweepSpace::coarse().len());
+        let c = ctx.counters();
+        assert_eq!(c.sweep_computes, 2);
+        assert_eq!(c.sweep_requests, 3);
+    }
+
+    #[test]
+    fn sweep_collects_the_table_points_once() {
+        let ctx = Ctx::with_space(SweepSpace::coarse());
+        let kept = ctx.sweep(Workload::Red).unwrap();
+        assert!(kept
+            .iter()
+            .copied()
+            .eq(ctx.sweep_points(Workload::Red).unwrap()));
+        assert!(std::ptr::eq(kept, ctx.sweep(Workload::Red).unwrap()));
+        assert_eq!(ctx.counters().sweep_computes, 1);
+    }
+
+    #[test]
+    fn run_all_keeps_no_sweep_points() {
+        // Every reader prices from the walk tables and reduces the points
+        // as they come: none may call `Ctx::sweep`, which would keep
+        // 16 x 1,820 points for the life of a server's Ctx.
+        let ctx = Ctx::new();
+        let results = crate::registry::Registry::paper()
+            .run_all(&ctx)
+            .expect("scheduling succeeds");
+        for (id, r) in &results {
+            assert!(r.is_ok(), "{id} failed: {:?}", r.as_ref().err());
+        }
+        for (w, sweep) in Workload::all().iter().zip(&ctx.sweeps) {
+            assert!(sweep.get().is_none(), "a reader kept {w}'s sweep points");
+        }
+        assert_eq!(ctx.counters().sweep_computes, Workload::all().len());
     }
 
     #[test]
@@ -314,9 +383,9 @@ mod tests {
         let a = ctx.program(Workload::Red).unwrap();
         let b = ctx.program(Workload::Red).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second request must hit the cache");
-        // The sweep pulls the same shared program.
-        ctx.sweep(Workload::Red).unwrap();
-        ctx.sweep(Workload::Red).unwrap();
+        // The walk table pulls the same shared program.
+        ctx.walk_table(Workload::Red).unwrap();
+        ctx.walk_table(Workload::Red).unwrap();
         let c = ctx.counters();
         assert_eq!(c.lowerings, 1);
         assert_eq!(c.program_requests, 3);
@@ -334,7 +403,7 @@ mod tests {
                     ctx.corpus();
                     ctx.potential_model();
                     ctx.program(Workload::Red).unwrap();
-                    ctx.sweep(Workload::Red).unwrap();
+                    ctx.walk_table(Workload::Red).unwrap();
                 });
             }
         });

@@ -2,13 +2,14 @@
 //! (Fig. 13), the per-workload gain attribution (Fig. 14), and the
 //! sweep-parameter roster (Table III).
 //!
-//! Fig. 13 and Fig. 14 both read per-workload sweeps through
-//! [`Ctx::sweep`], so each workload's design space is enumerated once
-//! even when every target runs in the same process.
+//! Fig. 13 and Fig. 14 both price per-workload sweeps from the walk
+//! tables of [`Ctx::walk_table`], so each workload's graph walks run once
+//! even when every target runs in the same process. Each reduction walks
+//! the points afresh ([`Ctx::sweep_points`]); none keeps them.
 
 use accelwall_accelsim::attribution::Metric;
 use accelwall_accelsim::sweep::best_efficiency;
-use accelwall_accelsim::{attribute_gains_lowered, Attribution, SweepSpace};
+use accelwall_accelsim::{attribute_gains_priced, Attribution, SweepPoint, SweepSpace};
 use accelwall_cmos::TechNode;
 use accelwall_workloads::Workload;
 
@@ -31,9 +32,10 @@ impl Experiment for Fig13 {
     }
 
     fn run(&self, ctx: &Ctx) -> Result<Artifact> {
-        let points = ctx.sweep(Workload::S3d)?;
-        let best = best_efficiency(points);
-        let point_json = |p: &accelwall_accelsim::SweepPoint| {
+        let points = ctx.sweep_points(Workload::S3d)?;
+        let count = ctx.sweep_space().len();
+        let best = best_efficiency(points.clone());
+        let point_json = |p: &SweepPoint| {
             Value::object([
                 ("node", Value::from(p.config.node.to_string())),
                 ("partition", Value::from(p.config.partition_factor)),
@@ -46,20 +48,23 @@ impl Experiment for Fig13 {
             ])
         };
         let json = Value::object([
-            ("points", Value::from(points.len())),
-            ("best_efficiency", Value::from(best.map(point_json))),
+            ("points", Value::from(count)),
+            (
+                "best_efficiency",
+                Value::from(best.as_ref().map(point_json)),
+            ),
             (
                 "scatter",
-                points.iter().step_by(37).map(point_json).collect(),
+                points.clone().step_by(37).map(|p| point_json(&p)).collect(),
             ),
         ]);
         let mut text = String::new();
         outln!(
             text,
             "Fig. 13 — 3D stencil power/runtime/CMOS sweep ({} design points)",
-            points.len()
+            count
         );
-        let baseline = points.iter().find(|p| {
+        let baseline = points.clone().find(|p| {
             p.config.partition_factor == 1
                 && p.config.simplification_degree == 1
                 && p.config.node == TechNode::N45
@@ -85,7 +90,7 @@ impl Experiment for Fig13 {
         }
         for &node in &ctx.sweep_space().nodes {
             let node_best = points
-                .iter()
+                .clone()
                 .filter(|p| p.config.node == node)
                 .max_by(|a, b| {
                     a.report
@@ -127,19 +132,19 @@ impl Experiment for Fig14 {
     }
 
     fn run(&self, ctx: &Ctx) -> Result<Artifact> {
-        // Warm every per-workload sweep before the serial attribution
-        // pass. Each sweep runs on its calling thread, so a band of
-        // scoped threads (one per compute thread) spreads the workloads'
-        // lowerings and sweeps; results still come out of `ctx.sweep`
-        // memoized and in roster order, so the artifact is byte-identical
-        // to the serial loop.
+        // Warm every per-workload walk table before the serial
+        // attribution pass. Each table builds on its calling thread, so a
+        // band of scoped threads (one per compute thread) spreads the
+        // workloads' lowerings and walks; the rows still come out of the
+        // memoized tables in roster order, so the artifact is
+        // byte-identical to the serial loop.
         let bands = accelwall_par::threads().min(Workload::all().len()).max(1);
         std::thread::scope(|s| {
             for band in 0..bands {
                 s.spawn(move || {
                     for (i, &w) in Workload::all().iter().enumerate() {
                         if i % bands == band {
-                            let _ = ctx.sweep(w);
+                            let _ = ctx.walk_table(w);
                         }
                     }
                 });
@@ -147,12 +152,12 @@ impl Experiment for Fig14 {
         });
         let mut rows = Vec::new();
         for &w in Workload::all() {
-            let points = ctx.sweep(w)?;
-            // Both metrics re-price the toggle chain over the same cached
-            // bytecode program the sweep ran on — no re-lowering.
-            let program = ctx.program(w)?;
-            let perf = attribute_gains_lowered(&program, Metric::Performance, points)?;
-            let ee = attribute_gains_lowered(&program, Metric::EnergyEfficiency, points)?;
+            // Both optima and both toggle chains price from the one
+            // table: no re-lowering, and no walk beyond the table's own.
+            let table = ctx.walk_table(w)?;
+            let points = ctx.sweep_points(w)?;
+            let perf = attribute_gains_priced(table, Metric::Performance, points.clone())?;
+            let ee = attribute_gains_priced(table, Metric::EnergyEfficiency, points)?;
             rows.push((w, perf, ee));
         }
         let contribution_json = |a: &Attribution| {

@@ -92,9 +92,9 @@ pub mod prelude {
     pub use crate::report::{DomainReport, Maturity};
     pub use accelwall_accelsim::attribution::Metric;
     pub use accelwall_accelsim::{
-        attribute_gains, attribute_gains_lowered, attribute_gains_with_points, run_sweep,
+        attribute_gains, attribute_gains_priced, attribute_gains_with_points, run_sweep,
         run_sweep_lowered, schedule, schedule_lowered, simulate, simulate_lowered,
-        simulate_scheduled, Attribution, DesignConfig, Schedule, SimReport, SweepSpace,
+        simulate_scheduled, Attribution, DesignConfig, Schedule, SimReport, SweepSpace, WalkTable,
     };
     pub use accelwall_chipdb::{ChipKind, ChipRecord, CorpusSpec, NodeGroup};
     pub use accelwall_cmos::{ScalingMetric, TechNode};

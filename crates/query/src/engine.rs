@@ -4,8 +4,8 @@
 //!   spec ──canonicalize──▶ u64 key ──▶ LRU hit (same spec)? ──▶ cached bytes
 //!                                        │ miss
 //!                                        ▼
-//!              point ──▶ Ctx::program + simulate_lowered
-//!              sweep ──▶ Ctx::sweep (or ArtifactCache when shadowing)
+//!              point ──▶ Ctx::walk_table + WalkTable::price
+//!              sweep ──▶ Ctx::sweep_points (or ArtifactCache when shadowing)
 //!         projection ──▶ projection_input × horizon + project
 //!                csr ──▶ csr / decompose
 //!                                        │
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use accelerator_wall::artifacts::ArtifactCache;
 use accelerator_wall::json::Value;
 use accelwall_accelsim::sweep::{best_efficiency, best_performance};
-use accelwall_accelsim::{simulate_lowered, DesignConfig, SimReport, SweepPoint};
+use accelwall_accelsim::{DesignConfig, SimReport, SweepPoint};
 use accelwall_cmos::TechNode;
 use accelwall_faults::Site;
 use accelwall_projection::wall::projection_input;
@@ -161,12 +161,12 @@ impl QueryEngine {
             spec.simplification,
             spec.heterogeneity,
         );
-        config
-            .validate()
+        let report = self
+            .artifacts
+            .ctx()
+            .walk_table(workload)?
+            .price(&config)
             .map_err(accelerator_wall::error::Error::from)?;
-        let program = self.artifacts.ctx().program(workload)?;
-        let report =
-            simulate_lowered(&program, &config).map_err(accelerator_wall::error::Error::from)?;
         Ok(Value::object([
             ("kind", Value::from("point")),
             ("workload", Value::from(workload.abbrev())),
@@ -185,20 +185,20 @@ impl QueryEngine {
         )]
         let workload = spec.workload.expect("validated: sweep requires workload");
         let ctx = self.artifacts.ctx();
-        let points = ctx.sweep(workload)?;
+        let points = ctx.sweep_points(workload)?;
         let space = ctx.sweep_space();
         Ok(Value::object([
             ("kind", Value::from("sweep")),
             ("workload", Value::from(workload.abbrev())),
-            ("points", Value::from(points.len())),
+            ("points", Value::from(space.len())),
             ("nodes", Value::from(space.nodes.len())),
             (
                 "best_efficiency",
-                Value::from(best_efficiency(points).map(point_json)),
+                Value::from(best_efficiency(points.clone()).as_ref().map(point_json)),
             ),
             (
                 "best_performance",
-                Value::from(best_performance(points).map(point_json)),
+                Value::from(best_performance(points).as_ref().map(point_json)),
             ),
         ]))
     }

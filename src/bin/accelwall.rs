@@ -261,6 +261,7 @@ fn main() -> ExitCode {
                 outln!("  {:<12} answer an ad-hoc what-if spec", "query");
                 outln!("  {:<12} serve artifacts over HTTP", "serve");
                 outln!("  {:<12} check workspace invariants", "lint");
+                outln!("  {:<12} print this roster", "list");
             }
             ExitCode::SUCCESS
         }

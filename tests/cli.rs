@@ -231,6 +231,7 @@ fn list_matches_the_registry_exactly() {
     expected.push("query");
     expected.push("serve");
     expected.push("lint");
+    expected.push("list");
     assert_eq!(listed, expected, "`list` must mirror the registry");
 }
 

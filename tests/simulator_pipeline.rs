@@ -3,6 +3,7 @@
 
 use accelerator_wall::accelsim::attribution::Metric;
 use accelerator_wall::accelsim::sweep::best_efficiency;
+use accelerator_wall::accelsim::SimError;
 use accelerator_wall::prelude::*;
 
 #[test]
@@ -140,11 +141,11 @@ fn report_bits(r: &SimReport) -> [u64; 7] {
 
 #[test]
 fn sweep_shares_walks_yet_matches_point_simulation_to_the_bit() {
-    // The sweep runs one timing walk per (fusion window, serial passes)
-    // and one energy walk per degree, so Table III's seven nodes share
-    // four fusion windows. Each report must equal a from-scratch
-    // `simulate_lowered` of its own config, field by field and bit by
-    // bit. Heterogeneity off gives every node window 1; repeated,
+    // The sweep prices every point from its program's walk table: one
+    // timing walk per (fusion window, serial passes) and one energy walk
+    // per degree, so Table III's seven nodes share four fusion windows.
+    // Each report must equal a from-scratch `simulate_lowered` of its own
+    // config, field by field and bit by bit. Heterogeneity off gives every node window 1; repeated,
     // unsorted axes reuse walks out of order.
     let table3 = SweepSpace::table3();
     let fusion_off = SweepSpace {
@@ -195,4 +196,57 @@ fn sweep_shares_walks_yet_matches_point_simulation_to_the_bit() {
         assert!(first.is_some());
         assert_eq!(run_sweep_lowered(&program, &space).err(), first);
     }
+
+    // The walk table behind the sweep prices any valid config, not only
+    // Table III's: every node, fusion on and off, every degree, at the
+    // smallest, a middle and the largest partitioning factor.
+    for &w in Workload::all() {
+        let program = w.default_instance().lower();
+        let table = WalkTable::new(&program);
+        for &node in TechNode::all() {
+            for heterogeneity in [true, false] {
+                for degree in 1..=13 {
+                    for lanes in [1, 1 << 10, 1 << 19] {
+                        let config = DesignConfig::new(node, lanes, degree, heterogeneity);
+                        assert_eq!(
+                            report_bits(&table.price(&config).unwrap()),
+                            report_bits(&simulate_lowered(&program, &config).unwrap()),
+                            "{w} {config:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    // Its errors are `simulate_lowered`'s: the bad knob first, then the
+    // graph without compute vertices.
+    let mut b = DfgBuilder::new("passthrough");
+    let x = b.input("x");
+    b.output("y", x);
+    let empty = b.build().unwrap().lower();
+    for program in [&program, &empty] {
+        let table = WalkTable::new(program);
+        for config in [
+            DesignConfig::new(TechNode::N45, 3, 1, false),
+            DesignConfig::new(TechNode::N28, 1, 14, true),
+            DesignConfig::baseline(),
+        ] {
+            assert_eq!(
+                table.price(&config).err(),
+                simulate_lowered(program, &config).err(),
+                "{} {config:?}",
+                program.name()
+            );
+        }
+    }
+    let baseline = DesignConfig::baseline();
+    assert_eq!(
+        WalkTable::new(&empty).price(&baseline).err(),
+        Some(SimError::EmptyGraph)
+    );
+    assert_eq!(
+        run_sweep_lowered(&empty, &SweepSpace::coarse()).err(),
+        Some(SimError::EmptyGraph)
+    );
 }
